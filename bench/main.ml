@@ -403,6 +403,18 @@ let jobs_sweep () =
 let worker_flag = "--procs-worker"
 let worker_log_flag = "--procs-log"
 
+(* The header the sweep's shard ledgers carry, which the supervisor
+   validates before trusting or resuming one. *)
+let sweep_campaign_kind = "bench-table5"
+
+let sweep_grid =
+  Core.Json.Assoc
+    [ ( "chips",
+        Core.Json.List
+          (List.map (fun c -> Core.Json.String c.Gpusim.Chip.name) sweep_chips)
+      );
+      ("runs", Core.Json.Int sweep_runs) ]
+
 (* Hidden entry point: `bench --procs-worker K/N --procs-log FILE`.
    Runs the sweep campaign as shard K/N into a deterministic shard
    ledger at FILE and exits; a `--resume FILE` appended by the
@@ -423,17 +435,9 @@ let procs_worker_main spec log =
       | Ok l -> Some (Core.Runlog.cache_of_ledger l)
       | Error _ -> None)
   in
-  let grid =
-    Core.Json.Assoc
-      [ ( "chips",
-          Core.Json.List
-            (List.map
-               (fun c -> Core.Json.String c.Gpusim.Chip.name)
-               sweep_chips) );
-        ("runs", Core.Json.Int sweep_runs) ]
-  in
   let header =
-    Core.Runlog.make_header ~shard:spec ~campaign:"bench-table5" ~seed ~grid ()
+    Core.Runlog.make_header ~shard:spec ~campaign:sweep_campaign_kind ~seed
+      ~grid:sweep_grid ()
   in
   let sink = Core.Runlog.create ~deterministic:true ~path:log header in
   let journal = Core.Runlog.journal ~sink ?cache ~origin:"bench worker" "" in
@@ -454,24 +458,25 @@ let procs_sweep serial =
             Fun.protect
               ~finally:(fun () -> Core.Procs.cleanup paths)
               (fun () ->
-                let outcomes =
-                  Core.Procs.fan_out ~n ~paths
-                    ~argv_of:(fun ~k ~path ->
-                      [ Sys.executable_name; worker_flag;
-                        Printf.sprintf "%d/%d" k n; worker_log_flag; path ]
-                      @ (if quick_mode then [ "--quick" ] else []))
-                    ()
+                let shards =
+                  Core.Procs.run ~paths
+                    { Core.Procs.campaign = sweep_campaign_kind; seed;
+                      grid = sweep_grid;
+                      argv =
+                        (fun ~k ~path ->
+                          [ Sys.executable_name; worker_flag;
+                            Printf.sprintf "%d/%d" k n; worker_log_flag; path ]
+                          @ if quick_mode then [ "--quick" ] else []) }
                 in
-                List.iter
-                  (fun o ->
-                    match o.Core.Procs.status with
-                    | Core.Procs.Failed msg ->
+                Array.iteri
+                  (fun i -> function
+                    | Core.Queue.Quarantined { reason } ->
                       Fmt.epr
                         "worker %d/%d failed (%s); its slice re-runs in the \
                          parent@."
-                        o.Core.Procs.k n msg
-                    | Core.Procs.Completed | Core.Procs.Degraded -> ())
-                  outcomes;
+                        (i + 1) n reason
+                    | _ -> ())
+                  shards;
                 let cache = Core.Procs.merged_cache paths in
                 sweep_campaign
                   ~journal:

@@ -207,17 +207,6 @@ let listen_term =
            document) and $(b,/healthz).  $(docv) 0 picks a free port and \
            prints it.")
 
-let max_respawns_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-respawns" ] ~docv:"N"
-        ~doc:
-          "Respawn a crashed shard worker (with $(b,--resume) from its \
-           ledger, after capped exponential backoff) up to $(docv) times \
-           before its slice falls back to the parent.  Defaults to \
-           $(b,GPUWMM_RESPAWNS) when set, else 1.")
-
 let spans_term =
   Arg.(
     value & flag
@@ -513,6 +502,17 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
       Fmt.epr "%s: unknown result kind %S@." path k;
       exit 2)
 
+(* The supervision and observability flags a `-j N` parent forwards to
+   every shard worker, so workers run under the parent's policy. *)
+let passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going =
+  (if spans then [ "--spans" ] else [])
+  @ (if strict then [ "--strict" ] else [])
+  @ (match timeout with
+    | Some t -> [ "--timeout"; string_of_float t ]
+    | None -> [])
+  @ (if retries > 0 then [ "--retries"; string_of_int retries ] else [])
+  @ if keep_going then [ "--keep-going" ] else []
+
 (* Open a ledger around a campaign body.  Without --log/--resume the body
    runs bare.  With --resume, the old ledger is loaded and validated
    against this invocation (campaign kind, seed, grid — exit 2 on
@@ -537,9 +537,10 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    result record — `gpuwmm merge` reassembles the canonical ledger from
    the full shard set.
 
-   With ~procs (worker count n and the self-exec argv builder) the
-   campaign fans out across n worker subprocesses first — each a
-   single-domain `--shard k/n` run with its own GC — and the body then
+   With ~procs (worker count n and the shard plan) the campaign fans
+   out across n worker subprocesses first — each a single-domain
+   `--shard k/n` run with its own GC, under the shard supervisor the
+   serve daemon also runs (Core.Procs.run) — and the body then
    executes against the union resume cache of their shard ledgers:
    cached jobs replay, anything a crashed worker failed to flush re-runs
    here, and the resulting ledger is indistinguishable from a
@@ -553,7 +554,7 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    spans and writes a Chrome trace sidecar <ledger>.spans.json with
    absolute timestamps, mergeable across workers by `gpuwmm trace
    --merge`. *)
-let with_ledger ?shard ?procs ?max_respawns ?listen ?(spans = false)
+let with_ledger ?shard ?procs ?listen ?(spans = false)
     ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~encode f =
   let shard =
     match shard with
@@ -618,27 +619,20 @@ let with_ledger ?shard ?procs ?max_respawns ?listen ?(spans = false)
   in
   let procs_cache, procs_tmp =
     match procs with
-    | Some (n, argv_of)
+    | Some (n, plan)
       when n >= 2 && shard = None && resume = None && procs_enabled () ->
       let paths = Core.Procs.shard_paths ?log ~n () in
       Atomic.set hb_paths (List.map Core.Heartbeat.hb_path paths);
       Logs.info (fun f -> f "fanning out %d worker processes" n);
-      let outcomes =
-        Core.Procs.fan_out ?max_respawns ~n ~paths ~argv_of ()
-      in
-      List.iter
-        (fun (o : Core.Procs.outcome) ->
-          (match o.Core.Procs.status with
-          | Core.Procs.Failed reason ->
+      let shards = Core.Procs.run ~paths plan in
+      Array.iteri
+        (fun i -> function
+          | Core.Queue.Quarantined { reason } ->
             Logs.warn (fun f ->
                 f "shard %d/%d failed (%s); its jobs re-run in this process"
-                  o.Core.Procs.k n reason)
-          | _ -> ());
-          if o.Core.Procs.respawns > 0 then
-            Logs.info (fun f ->
-                f "shard %d/%d needed %d crash respawn(s)" o.Core.Procs.k n
-                  o.Core.Procs.respawns))
-        outcomes;
+                  (i + 1) n reason)
+          | _ -> ())
+        shards;
       (Some (Core.Procs.merged_cache paths), if log = None then paths else [])
     | _ -> (None, [])
   in
@@ -949,7 +943,7 @@ let test_cmd =
     Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
   in
   let run verbose quiet seed chip app runs env_name jobs log resume shard
-      listen spans strict timeout retries keep_going max_respawns =
+      listen spans strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
@@ -963,13 +957,6 @@ let test_cmd =
     | Some env ->
       let apps =
         match app with Some a -> [ a ] | None -> Apps.Registry.all
-      in
-      let grid =
-        Core.Json.Assoc
-          [ ("chips", json_strs (chip_names [ chip ]));
-            ("envs", json_strs [ env_name ]);
-            ("apps", json_strs (app_names apps));
-            ("runs", Core.Json.Int runs) ]
       in
       (* Campaign-scale work defaults to the process backend: worker
          subprocesses dodge OCaml 5's shared stop-the-world minor GC,
@@ -985,25 +972,22 @@ let test_cmd =
           Some n
         else None
       in
-      let child_argv n ~k ~path =
-        [ Sys.executable_name; "test";
-          "--chip"; chip.Gpusim.Chip.name;
-          "--runs"; string_of_int runs;
-          "--env"; env_name;
-          "--seed"; string_of_int seed;
-          "-j"; "1"; "-q";
-          "--shard"; Printf.sprintf "%d/%d" k n;
-          "--log"; path ]
-        @ (match app with
-          | Some a -> [ "--app"; a.Apps.App.name ]
-          | None -> [])
-        @ (if spans then [ "--spans" ] else [])
-        @ (if strict then [ "--strict" ] else [])
-        @ (match timeout with
-          | Some t -> [ "--timeout"; string_of_float t ]
-          | None -> [])
-        @ (if retries > 0 then [ "--retries"; string_of_int retries ] else [])
-        @ if keep_going then [ "--keep-going" ] else []
+      let plan =
+        Core.Procs.test_plan ~exe:Sys.executable_name
+          { Core.Queue.id = "test"; kind = "test";
+            chip = chip.Gpusim.Chip.name;
+            app = Option.map (fun a -> a.Apps.App.name) app;
+            runs; env = env_name; seed;
+            workers = Option.value procs_n ~default:1; priority = 0;
+            max_attempts = Core.Procs.default_max_attempts }
+      in
+      let plan =
+        { plan with
+          argv =
+            (fun ~k ~path ->
+              plan.argv ~k ~path
+              @ passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going)
+        }
       in
       let backend =
         match procs_n with
@@ -1012,9 +996,9 @@ let test_cmd =
       in
       guarded (fun () ->
           with_ledger ?shard
-            ?procs:(Option.map (fun n -> (n, child_argv n)) procs_n)
-            ?max_respawns ?listen ~spans
-            ~campaign:"test" ~seed ~jobs ~grid ~log ~resume ~kind:"campaign"
+            ?procs:(Option.map (fun n -> (n, plan)) procs_n)
+            ?listen ~spans ~campaign:"test" ~seed ~jobs
+            ~grid:plan.Core.Procs.grid ~log ~resume ~kind:"campaign"
             ~encode:Core.Campaign.rows_to_json (fun journal ->
               let rows =
                 Core.Campaign.run ~backend ?journal ~chips:[ chip ]
@@ -1053,7 +1037,7 @@ let test_cmd =
       const run $ verbose $ quiet $ seed $ chip $ app_term $ runs $ env_name
       $ jobs_term $ log_term $ resume_term $ shard_term $ listen_term
       $ spans_term $ strict_term $ timeout_term $ retries_term
-      $ keep_going_term $ max_respawns_term)
+      $ keep_going_term)
 
 let harden_cmd =
   let app_term =
@@ -1480,8 +1464,7 @@ let table_cmd =
   in
   let runs = Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N") in
   let run verbose quiet seed chips all number (budget, budget_argv) runs jobs
-      log resume shard listen spans strict timeout retries keep_going
-      max_respawns =
+      log resume shard listen spans strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
@@ -1507,22 +1490,25 @@ let table_cmd =
       then Some n
       else None
     in
-    let child_argv n ~k ~path =
-      [ Sys.executable_name; "table"; string_of_int number;
-        "--chips"; String.concat "," (chip_names chips);
-        "--runs"; string_of_int runs;
-        "--seed"; string_of_int seed;
-        "-j"; "1"; "-q";
-        "--shard"; Printf.sprintf "%d/%d" k n;
-        "--log"; path ]
-      @ budget_argv
-      @ (if spans then [ "--spans" ] else [])
-      @ (if strict then [ "--strict" ] else [])
-      @ (match timeout with
-        | Some t -> [ "--timeout"; string_of_float t ]
-        | None -> [])
-      @ (if retries > 0 then [ "--retries"; string_of_int retries ] else [])
-      @ if keep_going then [ "--keep-going" ] else []
+    let campaign = Printf.sprintf "table%d" number in
+    let procs =
+      Option.map
+        (fun n ->
+          ( n,
+            { Core.Procs.campaign; seed; grid;
+              argv =
+                (fun ~k ~path ->
+                  [ Sys.executable_name; "table"; string_of_int number;
+                    "--chips"; String.concat "," (chip_names chips);
+                    "--runs"; string_of_int runs;
+                    "--seed"; string_of_int seed;
+                    "-j"; "1"; "-q";
+                    "--shard"; Printf.sprintf "%d/%d" k n;
+                    "--log"; path ]
+                  @ budget_argv
+                  @ passthrough_argv ~spans ~strict ~timeout ~retries
+                      ~keep_going) } ))
+        procs_n
     in
     let backend =
       match procs_n with
@@ -1537,11 +1523,8 @@ let table_cmd =
         unit =
      fun ~kind ~encode f ->
       guarded (fun () ->
-          with_ledger ?shard
-            ?procs:(Option.map (fun n -> (n, child_argv n)) procs_n)
-            ?max_respawns ?listen ~spans
-            ~campaign:(Printf.sprintf "table%d" number)
-            ~seed ~jobs ~grid ~log ~resume ~kind ~encode f);
+          with_ledger ?shard ?procs ?listen ~spans ~campaign ~seed ~jobs ~grid
+            ~log ~resume ~kind ~encode f);
       conclude_supervised ()
     in
     let static render =
@@ -1626,7 +1609,7 @@ let table_cmd =
       const run $ verbose $ quiet $ seed $ chips $ all_chips $ number
       $ budget_term $ runs $ jobs_term $ log_term $ resume_term $ shard_term
       $ listen_term $ spans_term $ strict_term $ timeout_term $ retries_term
-      $ keep_going_term $ max_respawns_term)
+      $ keep_going_term)
 
 let figure_cmd =
   let number =

@@ -265,14 +265,9 @@ let supervise ~sup ~slot ~index ~seed ~compute =
     | Error (reason, timed_out) ->
       if attempt < sup.retries then begin
         Atomic.incr retried_count;
-        if sup.backoff_s > 0.0 then begin
-          let rng =
-            Gpusim.Rng.create (Gpusim.Rng.subseed seed (0x5eed + attempt))
-          in
-          let jitter = 0.5 +. Gpusim.Rng.float rng in
+        if sup.backoff_s > 0.0 then
           Unix.sleepf
-            (sup.backoff_s *. float_of_int (1 lsl Int.min attempt 16) *. jitter)
-        end;
+            (Queue.backoff_s ~base:sup.backoff_s ~seed ~attempt:(attempt + 1));
         go (attempt + 1)
       end
       else Error (reason, timed_out, attempt + 1)

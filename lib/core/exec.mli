@@ -201,9 +201,9 @@ type supervision = {
   timeout_s : float option;  (** per-attempt wall-clock budget *)
   retries : int;  (** extra attempts after the first *)
   backoff_s : float;
-      (** base backoff before a retry; the actual sleep is
-          [backoff_s * 2^attempt] scaled by a seed-derived jitter in
-          [\[0.5, 1.5)] — deterministic schedule, wall-clock only *)
+      (** base backoff before a retry; the sleep before retry [r] is
+          {!Queue.backoff_s} [~attempt:r] — capped exponential with a
+          seed-derived jitter, deterministic schedule, wall-clock only *)
   keep_going : bool;  (** quarantine poison jobs instead of aborting *)
   faults : Fault.plan option;  (** executor-level fault injection *)
 }

@@ -155,18 +155,10 @@ let of_json j =
 (* ------------------------------------------------------------------ *)
 (* Stream I/O                                                           *)
 
-(* One open-append-write-close per beat: the line lands in one write so
-   a concurrent reader never sees half a record except after a crash
-   mid-write, and crashes leave no dangling descriptor. *)
-let append ~path r =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json r) ^ "\n");
-      flush oc)
+(* A concurrent reader never sees half a record except after a crash
+   mid-write, and a respawned worker's first beat never glues onto its
+   predecessor's torn last line. *)
+let append ~path r = Runlog.append_line ~path (Json.to_string (to_json r))
 
 (* Every parseable record of a stream, oldest first.  Torn or foreign
    lines are skipped, mirroring the ledger reader's crash tolerance. *)
@@ -225,10 +217,10 @@ type emitter = {
    (timestamp, rate, ETA, GC stats) are zeroed in deterministic mode so
    sidecars written by test fixtures stay byte-stable; the campaign
    counters are real either way. *)
-(* A worker respawned by its supervisor (Procs.fan_out or the serve
-   daemon) carries its crash-respawn count in GPUWMM_RESPAWN; stamping
-   it on every beat lets `gpuwmm status` show which shards crashed
-   without any channel back to the parent. *)
+(* A worker respawned by its supervisor ({!Procs.tick}, under `-j N`
+   or the serve daemon) carries its crash-respawn count in
+   GPUWMM_RESPAWN; stamping it on every beat lets `gpuwmm status` show
+   which shards crashed without any channel back to the parent. *)
 let env_respawns () =
   match Sys.getenv_opt "GPUWMM_RESPAWN" with
   | Some s -> (
@@ -300,7 +292,7 @@ let start ?(interval_s = interval ()) ?shard ~path () =
                  ())
           with
           | () -> incr seq
-          | exception Sys_error _ -> ()
+          | exception (Sys_error _ | Unix.Unix_error _) -> ()
         in
         try
         beat ~final:false;

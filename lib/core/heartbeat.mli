@@ -70,8 +70,9 @@ val of_json : Json.t -> (record, string) result
     [eta_s], [respawns]) are omitted at their defaults. *)
 
 val append : path:string -> record -> unit
-(** Append one record (one line, one write) to the stream, creating it
-    if needed. *)
+(** Append one record to the stream with {!Runlog.append_line}: one
+    line, one write, never glued onto a torn fragment — a respawned
+    worker appends to its crashed predecessor's stream. *)
 
 val load : string -> record list
 (** Every parseable record, oldest first.  A missing file is an empty

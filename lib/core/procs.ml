@@ -6,26 +6,14 @@
    the CLI re-executes itself once per shard ([--shard k/N]), each child
    a plain single-domain run with its own heap, and the parent
    reassembles the shard ledgers.  This module owns the mechanics —
-   spawning, GC budgeting, ledger-tail progress, reaping and bounded
-   crash recovery — using nothing beyond stdlib [Unix].
+   the shard geometry, GC budgeting, and the one supervisor (spawn,
+   reap, lease deadlines, heartbeat liveness, fail-closed completion,
+   backoff and quarantine) that both `-j N` campaigns and the serve
+   daemon run over a Queue state — using nothing beyond stdlib [Unix].
 
    Why this is safe with domains: [Unix.create_process] forks and execs
    immediately, so the child never runs OCaml code in the forked image
    (fork without exec is unsafe once domains have been spawned). *)
-
-type status =
-  | Completed  (** exit 0 *)
-  | Degraded  (** exit 3: quarantined jobs, ledger still whole *)
-  | Failed of string
-      (** exhausted its respawn budget; its slice re-runs in the parent *)
-
-type outcome = {
-  k : int;
-  path : string;  (** the shard's ledger *)
-  status : status;
-  respawns : int;  (** crash respawns consumed *)
-  retried : bool;  (** [respawns > 0] *)
-}
 
 let shard_paths ?log ~n () =
   List.init n (fun i ->
@@ -40,19 +28,6 @@ let shard_paths ?log ~n () =
         Sys.remove f;
         f)
 
-(* The respawn budget: how many times a crashed worker is restarted
-   (with [--resume]) before its slice falls back to the parent.  The
-   historical behaviour — exactly one respawn — is the default; the
-   operator overrides it per run with --max-respawns or fleet-wide with
-   GPUWMM_RESPAWNS. *)
-let default_max_respawns () =
-  match Sys.getenv_opt "GPUWMM_RESPAWNS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> 1)
-  | None -> 1
-
 (* Each worker gets [1/n] of the default per-domain minor heap (floored
    at 1 MiB) unless the operator pinned GPUWMM_GC, so a process-sharded
    campaign keeps roughly the single-process memory budget. *)
@@ -65,15 +40,6 @@ let child_env ~n =
   else
     let words = Int.max 262144 (Exec.default_minor_heap_words / Int.max 1 n) in
     Array.append base [| Printf.sprintf "GPUWMM_GC=%d" words |]
-
-type child = {
-  c_k : int;
-  c_path : string;
-  mutable c_pid : int;
-  mutable c_respawns : int;
-  mutable c_wait_until : float;  (* > 0: crashed, respawn gated by backoff *)
-  mutable c_status : status option;
-}
 
 (* OCaml numbers the portable signals with internal negative codes
    (Sys.sigkill is -7); translate to the numbers people grep dmesg and
@@ -107,143 +73,322 @@ let describe_exit = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" (posix_signal s)
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" (posix_signal s)
 
-(* Exponential backoff before the r-th respawn of shard k, with the
-   same seed-derived jitter discipline as Exec retries: deterministic
-   per (shard, respawn), decorrelated across the fleet. *)
-let respawn_backoff_s ~k ~respawn =
-  let rng = Gpusim.Rng.create (Gpusim.Rng.subseed (0x5eed + k) respawn) in
-  let jitter = 0.5 +. Gpusim.Rng.float rng in
-  0.5 *. float_of_int (1 lsl Int.min (respawn - 1) 6) *. jitter
+(* ------------------------------------------------------------------ *)
+(* Campaign geometry                                                    *)
 
-let fan_out ?(exe = Sys.executable_name)
-    ?(max_respawns = default_max_respawns ()) ~n ~paths ~argv_of () =
-  if List.length paths <> n then
-    invalid_arg "Procs.fan_out: paths length <> n";
-  let env = child_env ~n in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let spawn ?(respawns = 0) argv =
-    (* A respawned worker carries its count in GPUWMM_RESPAWN, which
-       its heartbeat emitter stamps on every beat — so `gpuwmm status`
-       shows which shards crashed without access to the parent. *)
-    let env =
-      if respawns = 0 then env
-      else Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" respawns |]
+type plan = {
+  campaign : string;
+  seed : int;
+  grid : Json.t;
+  argv : k:int -> path:string -> string list;
+}
+
+(* The `gpuwmm test` shard: the worker argv and the parameter grid its
+   ledger header records.  Both the `-j N` driver and the serve daemon
+   spawn exactly this, so a merged ledger is byte-identical to a
+   single-process run and resume validation accepts either's shards. *)
+let test_plan ~exe (spec : Queue.spec) =
+  let apps =
+    match spec.app with
+    | Some a -> [ a ]
+    | None -> List.map (fun a -> a.Apps.App.name) Apps.Registry.all
+  in
+  let strs l = Json.List (List.map (fun s -> Json.String s) l) in
+  { campaign = spec.kind;
+    seed = spec.seed;
+    grid =
+      Json.Assoc
+        [ ("chips", strs [ spec.chip ]); ("envs", strs [ spec.env ]);
+          ("apps", strs apps); ("runs", Json.Int spec.runs) ];
+    argv =
+      (fun ~k ~path ->
+        [ exe; "test";
+          "--chip"; spec.chip;
+          "--runs"; string_of_int spec.runs;
+          "--env"; spec.env;
+          "--seed"; string_of_int spec.seed;
+          "-j"; "1"; "-q";
+          "--shard"; Printf.sprintf "%d/%d" k spec.workers;
+          "--log"; path ]
+        @ match spec.app with Some a -> [ "--app"; a ] | None -> []) }
+
+(* A shard ledger that loads and passes the same validation `--resume`
+   applies (shard, campaign, seed, grid). *)
+let validated plan ~n ~k ~path =
+  match Runlog.load path with
+  | Error _ -> None
+  | Ok l -> (
+    match
+      Runlog.validate_resume
+        ~shard:(Printf.sprintf "%d/%d" k n)
+        l ~path ~campaign:plan.campaign ~seed:plan.seed ~grid:plan.grid
+    with
+    | Ok () -> Some l
+    | Error _ -> None)
+
+(* Fail-closed completeness: a shard counts as done only when its ledger
+   validates and carries a footer (interrupted runs have none). *)
+let shard_outcome plan ~n ~k ~path =
+  match validated plan ~n ~k ~path with
+  | Some { Runlog.footer = Some f; _ } -> Some (f.Runlog.quarantined > 0)
+  | Some _ | None -> None
+
+(* ------------------------------------------------------------------ *)
+(* The supervisor                                                       *)
+
+type t = {
+  max_workers : int;
+  lease_s : float;
+  backoff_base_s : float;
+  plan_of : Queue.spec -> plan;
+  path_of : Queue.spec -> int -> string;
+  state : unit -> Queue.state;
+  emit : Queue.event -> unit;
+  log : string -> unit;
+  children : (string * int, int) Hashtbl.t;
+      (* pid per (job id, shard) lease owned by THIS process; journal
+         pids from a previous daemon life are not ours to waitpid *)
+}
+
+let supervisor ?(lease_s = infinity) ?(log = ignore) ~max_workers
+    ~backoff_base_s ~plan_of ~path_of ~state ~emit () =
+  { max_workers; lease_s; backoff_base_s; plan_of; path_of; state; emit; log;
+    children = Hashtbl.create 16 }
+
+let pids t = Hashtbl.fold (fun _ pid acc -> pid :: acc) t.children []
+
+let outcome t (spec : Queue.spec) k =
+  shard_outcome (t.plan_of spec) ~n:spec.workers ~k ~path:(t.path_of spec k)
+
+let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
+  if attempt >= spec.max_attempts then begin
+    t.log
+      (Printf.sprintf "job %s shard %d/%d quarantined after %d attempt(s): %s"
+         spec.id k spec.workers attempt reason);
+    t.emit (Queue.Quarantined { t = now; id = spec.id; shard = k; reason })
+  end
+  else begin
+    let backoff =
+      Queue.backoff_s ~base:t.backoff_base_s
+        ~seed:(Gpusim.Rng.subseed spec.seed k) ~attempt
     in
-    Unix.create_process_env exe (Array.of_list argv) env devnull devnull
-      devnull
+    t.log
+      (Printf.sprintf "job %s shard %d/%d failed (%s); retry %d/%d in %.1fs"
+         spec.id k spec.workers reason attempt (spec.max_attempts - 1)
+         backoff);
+    t.emit
+      (Queue.Requeued
+         { t = now; id = spec.id; shard = k; attempt; reason;
+           not_before = now +. backoff })
+  end
+
+let settle_exit t ~now (spec : Queue.spec) k ~attempt status =
+  Hashtbl.remove t.children (spec.id, k);
+  match status with
+  | Unix.WEXITED 0 -> (
+    (* Trust but verify: exit 0 with an incomplete ledger (disk full,
+       torn footer) must not mark the shard done. *)
+    match outcome t spec k with
+    | Some degraded ->
+      t.emit (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded })
+    | None ->
+      fail_shard t ~now spec k ~attempt
+        ~reason:"exited 0 but ledger incomplete")
+  | Unix.WEXITED 3 ->
+    (* Degraded-but-whole, the exit-code-3 contract: quarantined jobs
+       inside, ledger mergeable. *)
+    t.emit
+      (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded = true })
+  | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+    fail_shard t ~now spec k ~attempt ~reason:(describe_exit status)
+
+let kill_lease t ~now (spec : Queue.spec) k ~pid ~attempt ~reason =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+  Hashtbl.remove t.children (spec.id, k);
+  fail_shard t ~now spec k ~attempt ~reason
+
+let spawn_lease t ~now (job : Queue.job) k =
+  let spec = job.spec in
+  let path = t.path_of spec k in
+  let plan = t.plan_of spec in
+  let attempt =
+    match Queue.shard_get job k with
+    | Some (Queue.Pending { attempt; _ }) -> attempt + 1
+    | _ -> 1
   in
-  let children =
-    List.mapi
-      (fun i path ->
-        let k = i + 1 in
-        { c_k = k; c_path = path;
-          c_pid = spawn (argv_of ~k ~path);
-          c_respawns = 0; c_wait_until = 0.0; c_status = None })
-      paths
+  (* A crashed worker resumes from whatever ledger prefix survived, but
+     only when that prefix still validates — a half-written header or a
+     foreign file means a fresh start, not a wedged respawn loop. *)
+  let argv =
+    plan.argv ~k ~path
+    @
+    if validated plan ~n:spec.workers ~k ~path <> None then
+      [ "--resume"; path ]
+    else []
   in
-  let running () =
-    List.filter (fun c -> c.c_status = None) children
+  let env = child_env ~n:spec.workers in
+  let env =
+    (* The respawn count rides into the worker's heartbeats, so `gpuwmm
+       status` shows which shards crashed. *)
+    if attempt > 1 then
+      Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" (attempt - 1) |]
+    else env
   in
-  let last_line = ref 0.0 in
-  (* Progress goes through the heartbeat sidecars when the workers are
-     beating — per-shard rates, a fleet ETA, dead-worker flags — and
-     falls back to the blind ledger-tail count until the first beat
-     lands (or when heartbeats are disabled). *)
-  let progress () =
-    let now = Unix.gettimeofday () in
-    if now -. !last_line >= 1.0 then begin
-      last_line := now;
-      let hb_paths =
-        List.map (fun c -> Heartbeat.hb_path c.c_path) children
-      in
-      let fleet = Fleetview.load ~now hb_paths in
-      if fleet.Fleetview.workers <> [] then
-        Exec.info (Fleetview.summary_line fleet)
-      else
-        let jobs =
-          List.fold_left
-            (fun acc c -> acc + Runlog.count_job_records c.c_path)
-            0 children
-        in
-        Exec.info
-          (Printf.sprintf
-             "workers: %d job record(s) across %d shard(s), %d running" jobs n
-             (List.length (running ())))
-    end
-  in
-  (* A crashed worker resumes from its shard ledger only when the
-     ledger actually made it to disk — a crash before the header line
-     would otherwise wedge every respawn on "cannot resume". *)
-  let resume_argv c =
-    let resumable =
-      Sys.file_exists c.c_path
-      && (try (Unix.stat c.c_path).Unix.st_size > 0
-          with Unix.Unix_error _ -> false)
-    in
-    argv_of ~k:c.c_k ~path:c.c_path
-    @ if resumable then [ "--resume"; c.c_path ] else []
-  in
-  let reap now c =
-    if c.c_wait_until > 0.0 then begin
-      (* Crashed and waiting out its backoff; respawn once it passes.
-         The gate never blocks the drain loop — siblings keep being
-         reaped while this shard waits. *)
-      if now >= c.c_wait_until then begin
-        c.c_wait_until <- 0.0;
-        c.c_pid <- spawn ~respawns:c.c_respawns (resume_argv c)
-      end
-    end
-    else
-      match Unix.waitpid [ Unix.WNOHANG ] c.c_pid with
+  match
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close devnull)
+      (fun () ->
+        Unix.create_process_env (List.hd argv) (Array.of_list argv) env
+          devnull devnull devnull)
+  with
+  | pid ->
+    Hashtbl.replace t.children (spec.id, k) pid;
+    t.log
+      (Printf.sprintf "job %s shard %d/%d leased to pid %d (attempt %d/%d)"
+         spec.id k spec.workers pid attempt spec.max_attempts);
+    t.emit
+      (Queue.Leased
+         { t = now; id = spec.id; shard = k; pid; attempt;
+           deadline = now +. t.lease_s })
+  | exception Unix.Unix_error (e, _, _) ->
+    fail_shard t ~now spec k ~attempt
+      ~reason:("spawn failed: " ^ Unix.error_message e)
+
+let tick t =
+  let now = Unix.gettimeofday () in
+  (* 1. Reap exited workers. *)
+  Hashtbl.iter
+    (fun (id, k) pid ->
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
       | 0, _ -> ()
-      | _, Unix.WEXITED 0 -> c.c_status <- Some Completed
-      | _, Unix.WEXITED 3 -> c.c_status <- Some Degraded
-      | _, st ->
-        if c.c_respawns >= max_respawns then begin
-          c.c_status <- Some (Failed (describe_exit st));
-          Exec.info
-            (Printf.sprintf
-               "worker %d/%d %s (%d respawn(s) spent); its slice falls \
-                back to the parent"
-               c.c_k n (describe_exit st) c.c_respawns)
-        end
-        else begin
-          c.c_respawns <- c.c_respawns + 1;
-          let backoff = respawn_backoff_s ~k:c.c_k ~respawn:c.c_respawns in
-          c.c_wait_until <- now +. backoff;
-          Exec.info
-            (Printf.sprintf
-               "worker %d/%d %s; respawn %d/%d in %.1fs resuming from %s"
-               c.c_k n (describe_exit st) c.c_respawns max_respawns backoff
-               c.c_path)
-          (* The shard ledger survives the crash (torn tails are dropped
-             on load), so the resume replays the flushed jobs and only
-             the remainder re-runs. *)
-        end
+      | _, status -> (
+        match Queue.find (t.state ()) id with
+        | Some job -> (
+          match Queue.shard_get job k with
+          | Some (Queue.Leased { attempt; _ }) ->
+            settle_exit t ~now job.spec k ~attempt status
+          | _ -> Hashtbl.remove t.children (id, k))
+        | None -> Hashtbl.remove t.children (id, k))
+      | exception Unix.Unix_error _ -> Hashtbl.remove t.children (id, k))
+    (Hashtbl.copy t.children);
+  (* 2. Enforce lease deadlines and heartbeat liveness. *)
+  List.iter
+    (fun (job : Queue.job) ->
+      if job.finished = None then
+        Array.iteri
+          (fun i sstate ->
+            let k = i + 1 in
+            match sstate with
+            | Queue.Leased { pid; attempt; deadline; _ }
+              when Hashtbl.mem t.children (job.spec.id, k) -> (
+              if now > deadline then
+                kill_lease t ~now job.spec k ~pid ~attempt
+                  ~reason:
+                    (Printf.sprintf "lease expired after %.0fs" t.lease_s)
+              else
+                (* Heartbeat staleness as a second liveness signal:
+                   catches a worker that is alive for waitpid but
+                   wedged.  Guarded to real timestamps — deterministic
+                   beats carry t = 0 and would always classify Dead —
+                   and to the leased pid, so a stale stream from a
+                   previous attempt is not charged to this one. *)
+                match
+                  Heartbeat.latest (Heartbeat.hb_path (t.path_of job.spec k))
+                with
+                | Some r
+                  when r.Heartbeat.t > 0.0 && r.Heartbeat.pid = pid
+                       && Heartbeat.classify ~now r = Heartbeat.Dead ->
+                  kill_lease t ~now job.spec k ~pid ~attempt
+                    ~reason:"heartbeat dead"
+                | _ -> ())
+            | _ -> ())
+          job.shards)
+    (t.state ()).Queue.jobs;
+  (* 3. Hand out leases up to the worker budget. *)
+  let rec assign () =
+    if Hashtbl.length t.children < t.max_workers then
+      match Queue.next_lease ~now (t.state ()) with
+      | None -> ()
+      | Some (job, k) ->
+        (* The ledger may already hold this shard complete (e.g. requeued
+           after a crash that actually landed the footer); recognise it
+           instead of re-running. *)
+        (match outcome t job.spec k with
+        | Some degraded ->
+          t.emit
+            (Queue.Shard_done
+               { t = now; id = job.spec.id; shard = k; degraded })
+        | None -> spawn_lease t ~now job k);
+        assign ()
   in
-  let rec drain () =
-    match running () with
-    | [] -> ()
-    | live ->
+  assign ()
+
+let default_max_attempts = 3
+let default_backoff_base_s = 0.5
+
+let cleanup paths =
+  let rm p = try Sys.remove p with Sys_error _ -> () in
+  List.iter
+    (fun p ->
+      rm p;
+      (* Observability sidecars ride along with shard ledgers. *)
+      rm (Heartbeat.hb_path p);
+      rm (p ^ ".spans.json"))
+    paths
+
+(* The one-job driver behind `-j N`: an in-memory queue with no journal
+   and no lease deadline, ticked until every shard settles. *)
+let run ~paths plan =
+  (* A fresh campaign never adopts shard ledgers or heartbeats an
+     earlier invocation left at these paths. *)
+  cleanup paths;
+  let n = List.length paths in
+  let paths = Array.of_list paths in
+  let spec =
+    { Queue.id = plan.campaign; kind = plan.campaign; chip = ""; app = None;
+      runs = 0; env = ""; seed = plan.seed; workers = n; priority = 0;
+      max_attempts = default_max_attempts }
+  in
+  let st = ref (Queue.apply Queue.empty (Queue.Submitted { t = 0.0; spec })) in
+  let t =
+    supervisor ~log:Exec.info ~max_workers:n
+      ~backoff_base_s:default_backoff_base_s
+      ~plan_of:(fun _ -> plan)
+      ~path_of:(fun _ k -> paths.(k - 1))
+      ~state:(fun () -> !st)
+      ~emit:(fun ev -> st := Queue.apply !st ev)
+      ()
+  in
+  let hb_paths = Array.to_list (Array.map Heartbeat.hb_path paths) in
+  let rec loop last_line =
+    tick t;
+    let shards = (List.hd !st.Queue.jobs).Queue.shards in
+    if
+      Array.for_all
+        (function Queue.Done _ | Queue.Quarantined _ -> true | _ -> false)
+        shards
+    then shards
+    else begin
       let now = Unix.gettimeofday () in
-      List.iter (reap now) live;
-      progress ();
-      if running () <> [] then begin
-        ignore (Unix.select [] [] [] 0.1);
-        drain ()
-      end
+      let last_line =
+        if now -. last_line < 1.0 then last_line
+        else begin
+          let fleet = Fleetview.load ~now hb_paths in
+          if fleet.Fleetview.workers <> [] then
+            Exec.info (Fleetview.summary_line fleet);
+          now
+        end
+      in
+      Unix.sleepf 0.1;
+      loop last_line
+    end
   in
-  Fun.protect ~finally:(fun () -> Unix.close devnull) drain;
-  List.map
-    (fun c ->
-      { k = c.c_k; path = c.c_path;
-        status = Option.value c.c_status ~default:(Failed "not reaped");
-        respawns = c.c_respawns;
-        retried = c.c_respawns > 0 })
-    children
+  loop 0.0
 
 (* Union resume cache over whatever shard ledgers made it to disk.  A
-   shard that exhausted its respawns may be unreadable or half-written;
+   shard that exhausted its attempts may be unreadable or half-written;
    its jobs simply stay uncached and re-run in the parent under the
    parent's own supervision, which is the crash-reaping story: no shard
    failure mode can lose a campaign, only slow it down. *)
@@ -261,13 +406,3 @@ let merged_cache paths =
       paths
   in
   Runlog.cache_of_ledgers ledgers
-
-let cleanup paths =
-  let rm p = try Sys.remove p with Sys_error _ -> () in
-  List.iter
-    (fun p ->
-      rm p;
-      (* Observability sidecars ride along with temp shard ledgers. *)
-      rm (Heartbeat.hb_path p);
-      rm (p ^ ".spans.json"))
-    paths

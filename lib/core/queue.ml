@@ -151,37 +151,12 @@ let event_of_json j =
   | k -> Error (Printf.sprintf "unknown queue event %S" k)
 
 (* ------------------------------------------------------------------ *)
-(* Journal I/O — one open-append-write-close per event, like the
-   heartbeat stream: each event lands in a single write, and a crash
-   leaves at worst one torn final line.                                 *)
+(* Journal I/O — one open-append-write-close per event
+   ({!Runlog.append_line}): each event lands in a single write, and a
+   crash leaves at worst one torn final line.                           *)
 
 let append ~path ev =
-  let fd =
-    Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* A crash can leave the file without a trailing newline (a torn
-         fragment, or a full line cut just before its '\n').  Lead with
-         one so this event starts on a fresh line instead of gluing
-         onto the fragment — the glued line would fail the *next*
-         load's mid-file check and wedge the queue. *)
-      let needs_nl =
-        (Unix.fstat fd).Unix.st_size > 0
-        && begin
-             ignore (Unix.lseek fd (-1) Unix.SEEK_END);
-             let b = Bytes.create 1 in
-             Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n'
-           end
-      in
-      let line = Json.to_string (event_to_json ev) ^ "\n" in
-      let line = if needs_nl then "\n" ^ line else line in
-      let n = String.length line in
-      let rec w off =
-        if off < n then w (off + Unix.write_substring fd line off (n - off))
-      in
-      w 0)
+  Runlog.append_line ~path (Json.to_string (event_to_json ev))
 
 let load path =
   match open_in path with

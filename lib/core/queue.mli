@@ -62,10 +62,8 @@ val event_of_json : Json.t -> (event, string) result
 (** Exact inverse of {!event_to_json} (qcheck round-trip tested). *)
 
 val append : path:string -> event -> unit
-(** Append one event (one line, one write) to the journal, creating it
-    if needed.  If a crash left the file without a trailing newline, a
-    leading ['\n'] is written first so the event never glues onto a
-    torn fragment. *)
+(** Append one event to the journal with {!Runlog.append_line}: one
+    line, one write, never glued onto a torn fragment. *)
 
 val load : string -> (event list * bool, string) result
 (** Parse a journal, oldest first.  A missing file is an empty journal.
@@ -123,11 +121,11 @@ val next_lease : now:float -> state -> (job * int) option
     is leasable right now. *)
 
 val backoff_s : base:float -> seed:int -> attempt:int -> float
-(** Capped exponential backoff before re-leasing a failed shard:
+(** The project's one backoff schedule, before the [attempt]-th retry
+    (1-based) of a failed shard lease or an {!Exec} job:
     [base * 2^min(attempt-1, 6)] scaled by a seed-derived jitter in
-    [0.5, 1.5) — the same discipline as {!Exec} retries, so the
-    schedule is deterministic per (seed, attempt) but fleet-wide
-    thundering herds decorrelate. *)
+    [0.5, 1.5), so the schedule is deterministic per (seed, attempt)
+    but fleet-wide thundering herds decorrelate. *)
 
 (** {1 Queue metrics} *)
 

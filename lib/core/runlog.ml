@@ -416,26 +416,35 @@ let load file =
   | exception Sys_error e -> Error e
   | text -> parse text
 
-(* A cheap live progress probe: count durably flushed job records by
-   their line prefix, without parsing.  Safe against a concurrent
-   writer because job lines are single [output_string] appends — the
-   only torn line can be the last, which the prefix test then skips. *)
-let count_job_records path =
-  match open_in path with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let prefix = {|{"rec":"job","|} in
-    let plen = String.length prefix in
-    let n = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.length line >= plen && String.sub line 0 plen = prefix
-         then incr n
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
+(* One open-append-write-close per line, shared by the append-only
+   JSONL streams (the serve journal, heartbeat sidecars): the line lands
+   in a single write, so a crash tears at most the final line.  A crash
+   can also leave the file without a trailing newline (a torn fragment,
+   or a full line cut just before its '\n'); the new line then leads
+   with one, so it starts fresh instead of gluing onto the fragment —
+   a glued line would be lost to the reader, or fail a strict reader's
+   mid-file check and wedge the stream. *)
+let append_line ~path line =
+  let fd =
+    Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let needs_nl =
+        (Unix.fstat fd).Unix.st_size > 0
+        && begin
+             ignore (Unix.lseek fd (-1) Unix.SEEK_END);
+             let b = Bytes.create 1 in
+             Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n'
+           end
+      in
+      let line = (if needs_nl then "\n" else "") ^ line ^ "\n" in
+      let n = String.length line in
+      let rec w off =
+        if off < n then w (off + Unix.write_substring fd line off (n - off))
+      in
+      w 0)
 
 (* ------------------------------------------------------------------ *)
 (* Resumption                                                           *)

@@ -154,11 +154,12 @@ val parse : string -> (ledger, string) result
 val load : string -> (ledger, string) result
 (** {!parse} the file at a path. *)
 
-val count_job_records : string -> int
-(** Count the job records durably flushed to a (possibly still growing)
-    ledger by line prefix, without parsing.  [0] for a missing file.
-    The fan-out parent's fallback progress probe when a worker has not
-    yet produced a heartbeat. *)
+val append_line : path:string -> string -> unit
+(** Append [line] plus ['\n'] to the file in one write, creating it if
+    needed — the append discipline of every JSONL stream ({!Queue}
+    journal, {!Heartbeat} sidecars).  If a crash left the file without
+    a trailing newline, a leading ['\n'] is written first so the line
+    never glues onto a torn fragment.  Raises [Unix.Unix_error]. *)
 
 type cache
 (** Completed job records keyed by (phase, index). *)

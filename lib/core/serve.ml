@@ -6,10 +6,11 @@
      submissions and serves the queue and fleet state;
    - a durable queue (Queue): every transition is an append-only
      journal event, applied to an in-memory state under one mutex;
-   - a lease loop that spawns shard workers (self-exec `gpuwmm test
-     --shard k/N`, exactly the argv Procs-backed campaigns use), reaps
-     them, kills deadline overruns and heartbeat-dead workers, requeues
-     failures with capped backoff and quarantines repeat offenders.
+   - the shard supervisor (Procs.tick, the same one `test -j N` runs)
+     that spawns `gpuwmm test --shard k/N` workers, reaps them, kills
+     deadline overruns and heartbeat-dead workers, requeues failures
+     with capped backoff and quarantines repeat offenders — here with
+     a journaling [emit], so every transition is durable.
 
    Crash tolerance is structural rather than defensive: the daemon
    never needs to shut down cleanly, because restart = journal replay
@@ -38,81 +39,25 @@ let default =
     exe = Sys.executable_name;
     max_workers = 2;
     lease_s = 30.0;
-    backoff_base_s = 0.5;
-    max_attempts = 3;
+    backoff_base_s = Procs.default_backoff_base_s;
+    max_attempts = Procs.default_max_attempts;
     until_idle = false;
     quiet = false }
 
 (* ------------------------------------------------------------------ *)
-(* Campaign geometry: paths, argv and the parameter grid must mirror
-   the `gpuwmm test` sharding path exactly, or the merged ledger would
-   not be byte-identical to a single-process run and resume validation
-   would refuse perfectly good shards.                                  *)
+(* State-directory layout; the shard geometry is {!Procs.test_plan}.    *)
 
 let ledger_path cfg id = Filename.concat cfg.dir (id ^ ".jsonl")
-let shard_path cfg id k = Printf.sprintf "%s.shard%d" (ledger_path cfg id) k
+let shard_path cfg (spec : Queue.spec) k =
+  Printf.sprintf "%s.shard%d" (ledger_path cfg spec.id) k
 let journal_path cfg = Filename.concat cfg.dir "queue.jsonl"
 
-let app_names (spec : Queue.spec) =
-  match spec.app with
-  | Some a -> [ a ]
-  | None -> List.map (fun a -> a.Apps.App.name) Apps.Registry.all
-
-let grid_of (spec : Queue.spec) =
-  let strs l = Json.List (List.map (fun s -> Json.String s) l) in
-  Json.Assoc
-    [ ("chips", strs [ spec.chip ]);
-      ("envs", strs [ spec.env ]);
-      ("apps", strs (app_names spec));
-      ("runs", Json.Int spec.runs) ]
-
-let worker_argv cfg (spec : Queue.spec) ~k =
-  [ cfg.exe; "test";
-    "--chip"; spec.chip;
-    "--runs"; string_of_int spec.runs;
-    "--env"; spec.env;
-    "--seed"; string_of_int spec.seed;
-    "-j"; "1"; "-q";
-    "--shard"; Printf.sprintf "%d/%d" k spec.workers;
-    "--log"; shard_path cfg spec.id k ]
-  @ match spec.app with Some a -> [ "--app"; a ] | None -> []
-
-(* Fail-closed shard completeness: a shard counts as done only when its
-   ledger loads, carries a footer (interrupted runs have none) and
-   passes the same validation `--resume` would apply.  This is the only
-   way a shard is ever marked Done without the daemon having watched
-   the worker exit — in particular during restart reconciliation. *)
+(* The only way a shard is ever marked Done without the daemon having
+   watched its worker exit — restart reconciliation. *)
 let shard_outcome cfg (spec : Queue.spec) k =
-  let path = shard_path cfg spec.id k in
-  match Runlog.load path with
-  | Error _ -> None
-  | Ok l -> (
-    match l.Runlog.footer with
-    | None -> None
-    | Some f -> (
-      match
-        Runlog.validate_resume
-          ~shard:(Printf.sprintf "%d/%d" k spec.workers)
-          l ~path ~campaign:spec.kind ~seed:spec.seed ~grid:(grid_of spec)
-      with
-      | Ok () -> Some (f.Runlog.quarantined > 0)
-      | Error _ -> None))
-
-(* A crashed worker resumes from whatever ledger prefix survived, but
-   only when that prefix still validates — a half-written header or a
-   foreign file means a fresh start, not a wedged respawn loop. *)
-let shard_resumable cfg (spec : Queue.spec) k =
-  let path = shard_path cfg spec.id k in
-  match Runlog.load path with
-  | Error _ -> false
-  | Ok l -> (
-    match
-      Runlog.validate_resume
-        ~shard:(Printf.sprintf "%d/%d" k spec.workers)
-        l ~path ~campaign:spec.kind ~seed:spec.seed ~grid:(grid_of spec)
-    with
-    | Ok () -> true
-    | Error _ -> false)
+  Procs.shard_outcome
+    (Procs.test_plan ~exe:cfg.exe spec)
+    ~n:spec.workers ~k ~path:(shard_path cfg spec k)
 
 (* ------------------------------------------------------------------ *)
 (* Submission parsing                                                   *)
@@ -311,9 +256,6 @@ let run cfg =
       Queue.append ~path:journal ev;
       st := Queue.apply !st ev
     in
-    (* pid per (job id, shard) lease owned by THIS daemon process.
-       Journal pids from a previous life are not ours to waitpid. *)
-    let children : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
     let stopping = Atomic.make false in
     let install_signals () =
       List.iter
@@ -372,96 +314,13 @@ let run cfg =
               job.shards)
         !st.Queue.jobs
     in
-    (* --- lease bookkeeping ---------------------------------------- *)
-    let fail_shard ~now (job : Queue.job) k ~attempt ~reason =
-      if attempt >= job.spec.max_attempts then begin
-        log "job %s shard %d/%d quarantined after %d attempt(s): %s"
-          job.spec.id k job.spec.workers attempt reason;
-        emit
-          (Queue.Quarantined { t = now; id = job.spec.id; shard = k; reason })
-      end
-      else begin
-        let backoff =
-          Queue.backoff_s ~base:cfg.backoff_base_s
-            ~seed:(Gpusim.Rng.subseed job.spec.seed k)
-            ~attempt
-        in
-        log "job %s shard %d/%d failed (%s); retry %d/%d in %.1fs"
-          job.spec.id k job.spec.workers reason attempt
-          (job.spec.max_attempts - 1) backoff;
-        emit
-          (Queue.Requeued
-             { t = now; id = job.spec.id; shard = k; attempt; reason;
-               not_before = now +. backoff })
-      end
-    in
-    let settle_exit ~now (job : Queue.job) k ~attempt status =
-      Hashtbl.remove children (job.spec.id, k);
-      match status with
-      | Unix.WEXITED 0 -> (
-        (* Trust but verify: exit 0 with an incomplete ledger (disk
-           full, torn footer) must not mark the shard done. *)
-        match shard_outcome cfg job.spec k with
-        | Some degraded ->
-          emit
-            (Queue.Shard_done { t = now; id = job.spec.id; shard = k; degraded })
-        | None ->
-          fail_shard ~now job k ~attempt
-            ~reason:"exited 0 but ledger incomplete")
-      | Unix.WEXITED 3 ->
-        (* Degraded-but-whole, the exit-code-3 contract: quarantined
-           jobs inside, ledger mergeable. *)
-        emit
-          (Queue.Shard_done
-             { t = now; id = job.spec.id; shard = k; degraded = true })
-      | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
-        fail_shard ~now job k ~attempt ~reason:(Procs.describe_exit status)
-    in
-    let kill_lease ~now (job : Queue.job) k ~pid ~attempt ~reason =
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      Hashtbl.remove children (job.spec.id, k);
-      fail_shard ~now job k ~attempt ~reason
-    in
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-    let spawn_lease ~now (job : Queue.job) k =
-      let spec = job.spec in
-      let attempt =
-        match Queue.shard_get job k with
-        | Some (Queue.Pending { attempt; _ }) -> attempt + 1
-        | _ -> 1
-      in
-      let argv =
-        worker_argv cfg spec ~k
-        @
-        if shard_resumable cfg spec k then
-          [ "--resume"; shard_path cfg spec.id k ]
-        else []
-      in
-      let env = Procs.child_env ~n:spec.workers in
-      let env =
-        (* attempt > 1 means this lease follows at least one crash;
-           stamp the respawn count so the worker's heartbeats carry it
-           (same contract as Procs.fan_out respawns). *)
-        if attempt > 1 then
-          Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" (attempt - 1) |]
-        else env
-      in
-      match
-        Unix.create_process_env cfg.exe (Array.of_list argv) env devnull
-          devnull devnull
-      with
-      | pid ->
-        Hashtbl.replace children (spec.id, k) pid;
-        log "job %s shard %d/%d leased to pid %d (attempt %d/%d)" spec.id k
-          spec.workers pid attempt spec.max_attempts;
-        emit
-          (Queue.Leased
-             { t = now; id = spec.id; shard = k; pid; attempt;
-               deadline = now +. cfg.lease_s })
-      | exception Unix.Unix_error (e, _, _) ->
-        fail_shard ~now job k ~attempt
-          ~reason:("spawn failed: " ^ Unix.error_message e)
+    let sup =
+      Procs.supervisor ~lease_s:cfg.lease_s ~log:(log "%s")
+        ~max_workers:cfg.max_workers ~backoff_base_s:cfg.backoff_base_s
+        ~plan_of:(Procs.test_plan ~exe:cfg.exe)
+        ~path_of:(shard_path cfg)
+        ~state:(fun () -> !st)
+        ~emit ()
     in
     let finish_ready_jobs ~now () =
       List.iter
@@ -492,7 +351,7 @@ let run cfg =
                 let out = ledger_path cfg job.spec.id in
                 let shards =
                   List.init job.spec.workers (fun i ->
-                      shard_path cfg job.spec.id (i + 1))
+                      shard_path cfg job.spec (i + 1))
                 in
                 match Merge.merge ~out shards with
                 | Ok o ->
@@ -522,85 +381,9 @@ let run cfg =
     in
     let tick () =
       locked (fun () ->
-          let now = Unix.gettimeofday () in
-          (* 1. Reap exited workers. *)
-          Hashtbl.iter
-            (fun (id, k) pid ->
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ -> ()
-              | _, status -> (
-                match Queue.find !st id with
-                | None -> Hashtbl.remove children (id, k)
-                | Some job -> (
-                  match Queue.shard_get job k with
-                  | Some (Queue.Leased { attempt; _ }) ->
-                    settle_exit ~now job k ~attempt status
-                  | _ -> Hashtbl.remove children (id, k)))
-              | exception Unix.Unix_error _ ->
-                Hashtbl.remove children (id, k))
-            (Hashtbl.copy children);
-          (* 2. Enforce lease deadlines and heartbeat liveness. *)
-          List.iter
-            (fun (job : Queue.job) ->
-              if job.finished = None then
-                Array.iteri
-                  (fun i sstate ->
-                    let k = i + 1 in
-                    match sstate with
-                    | Queue.Leased { pid; attempt; deadline; _ }
-                      when Hashtbl.mem children (job.spec.id, k) ->
-                      if now > deadline then
-                        kill_lease ~now job k ~pid ~attempt
-                          ~reason:
-                            (Printf.sprintf "lease expired after %.0fs"
-                               cfg.lease_s)
-                      else (
-                        (* Heartbeat staleness as a second liveness
-                           signal: catches a worker that is alive for
-                           waitpid but wedged.  Guarded to real
-                           timestamps — deterministic-mode beats carry
-                           t = 0 and would always classify Dead — and
-                           to the leased pid, so a stale stream from a
-                           previous attempt is not charged to this
-                           one. *)
-                        match
-                          Heartbeat.latest
-                            (Heartbeat.hb_path
-                               (shard_path cfg job.spec.id k))
-                        with
-                        | Some r
-                          when r.Heartbeat.t > 0.0 && r.Heartbeat.pid = pid
-                               && Heartbeat.classify ~now r = Heartbeat.Dead
-                          ->
-                          kill_lease ~now job k ~pid ~attempt
-                            ~reason:"heartbeat dead"
-                        | _ -> ())
-                    | _ -> ())
-                  job.shards)
-            !st.Queue.jobs;
-          (* 3. Hand out leases up to the worker budget. *)
-          let rec assign () =
-            if Hashtbl.length children < cfg.max_workers then
-              match Queue.next_lease ~now !st with
-              | None -> ()
-              | Some (job, k) -> (
-                (* The ledger may already hold this shard complete
-                   (e.g. requeued after a crash that actually landed
-                   the footer); recognise it instead of re-running. *)
-                match shard_outcome cfg job.spec k with
-                | Some degraded ->
-                  emit
-                    (Queue.Shard_done
-                       { t = now; id = job.spec.id; shard = k; degraded });
-                  assign ()
-                | None ->
-                  spawn_lease ~now job k;
-                  assign ())
-          in
-          assign ();
-          (* 4. Merge campaigns whose shards all reached a terminal
-             state. *)
-          finish_ready_jobs ~now ())
+          Procs.tick sup;
+          (* Merge campaigns whose shards all reached a terminal state. *)
+          finish_ready_jobs ~now:(Unix.gettimeofday ()) ())
     in
     (* --- HTTP face ------------------------------------------------ *)
     let handler (req : Httpd.request) =
@@ -653,7 +436,7 @@ let run cfg =
                     if job.finished = None then
                       List.init job.spec.workers (fun i ->
                           Heartbeat.hb_path
-                            (shard_path cfg job.spec.id (i + 1)))
+                            (shard_path cfg job.spec (i + 1)))
                     else [])
                   !st.Queue.jobs ))
         in
@@ -674,7 +457,7 @@ let run cfg =
                     if job.finished = None then
                       List.init job.spec.workers (fun i ->
                           Heartbeat.hb_path
-                            (shard_path cfg job.spec.id (i + 1)))
+                            (shard_path cfg job.spec (i + 1)))
                     else [])
                   !st.Queue.jobs ))
         in
@@ -727,7 +510,7 @@ let run cfg =
          written — the next start's reconciliation revokes the leases,
          which keeps "crash" and "orderly stop" on the same recovery
          path. *)
-      let workers = Hashtbl.fold (fun _ pid acc -> pid :: acc) children [] in
+      let workers = Procs.pids sup in
       if workers <> [] then begin
         log "stopping: signalling %d worker(s)" (List.length workers);
         List.iter
@@ -762,7 +545,6 @@ let run cfg =
         wait workers
       end;
       Httpd.stop server;
-      Unix.close devnull;
       if not cfg.until_idle then 0
       else
         locked (fun () ->

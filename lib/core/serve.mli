@@ -4,8 +4,9 @@
     campaign submissions over HTTP ([POST /submit]), decomposes each
     into one shard-ledger work unit per worker ({!Shard} semantics,
     identical to [gpuwmm test -j N]), and executes them under {e leases
-    with deadlines}: every work unit is handed to a supervised worker
-    subprocess (self-exec, as in {!Procs}), and a worker that exits
+    with deadlines}: every work unit is handed to a worker subprocess
+    by {!Procs.tick} — the same supervisor [gpuwmm test -j N] runs, here
+    over the durable queue — and a worker that exits
     abnormally, overruns its lease deadline, or stops heartbeating
     ({!Heartbeat.classify} = [Dead]) has its shard requeued with capped
     exponential backoff ({!Queue.backoff_s}) and quarantined as failed

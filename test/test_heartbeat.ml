@@ -95,6 +95,25 @@ let test_stream_round_trip () =
       Alcotest.(check bool) "latest is the newest record" true
         (Core.Heartbeat.latest path = Some r2))
 
+(* A respawned worker appends to its crashed predecessor's stream: its
+   first beat must start a fresh line, not glue onto the torn fragment
+   (the glued line would fail to parse and the beat would be lost). *)
+let test_append_after_torn_tail () =
+  let path = tmp_hb () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let r2 = { base_record with Core.Heartbeat.seq = 0; pid = 4243 } in
+      Core.Heartbeat.append ~path base_record;
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "{\"rec\":\"hb\",\"pid\":9";
+      close_out oc;
+      Core.Heartbeat.append ~path r2;
+      Alcotest.(check int) "both beats survive the torn fragment" 2
+        (List.length (Core.Heartbeat.load path));
+      Alcotest.(check bool) "the respawn's beat is the latest" true
+        (Core.Heartbeat.latest path = Some r2))
+
 (* ------------------------------------------------------------------ *)
 (* Staleness                                                            *)
 
@@ -385,7 +404,9 @@ let () =
           Alcotest.test_case "rejects foreign records" `Quick
             test_of_json_rejects_foreign;
           Alcotest.test_case "stream round-trip, torn tail" `Quick
-            test_stream_round_trip ] );
+            test_stream_round_trip;
+          Alcotest.test_case "append after a torn tail" `Quick
+            test_append_after_torn_tail ] );
       ( "staleness",
         [ Alcotest.test_case "classification boundaries" `Quick
             test_classify_boundaries;
