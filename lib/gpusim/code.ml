@@ -6,7 +6,8 @@ exception Unresolved of Memsys.pending
 
 type tctx = {
   gid : int;
-  regs : rv array;
+  regs : int array;
+  pend : Memsys.pending array;
   l_tid : int;
   l_bid : int;
   l_bdim : int;
@@ -14,8 +15,6 @@ type tctx = {
   mem : Memsys.t;
   shared : int array;
 }
-
-and rv = Val of int | Pend of Memsys.pending
 
 type ev = tctx -> int
 
@@ -28,7 +27,9 @@ type op =
       dst : int option;
       space : Kernel.space;
       addr : ev;
-      prepare : tctx -> int -> int;
+      arg : ev;
+      arg2 : ev;
+      rmw : int -> int -> int -> int;
     }
   | Ofence of Kernel.fence_scope
   | Obarrier
@@ -45,21 +46,38 @@ type t = {
 
 let reg_slot code r = List.assoc_opt r code.slots
 
+(* A slot holds either a value in [regs] (its [pend] is
+   [Memsys.no_pending]) or a load still in flight in [pend].  Two flat
+   arrays, so that writing a value allocates nothing. *)
+let set_reg ctx i v =
+  ctx.regs.(i) <- v;
+  if ctx.pend.(i) != Memsys.no_pending then ctx.pend.(i) <- Memsys.no_pending
+
+let set_pend ctx i p = ctx.pend.(i) <- p
+
 let read_reg ctx i =
-  match ctx.regs.(i) with
-  | Val v -> v
-  | Pend p ->
+  let p = ctx.pend.(i) in
+  if p == Memsys.no_pending then ctx.regs.(i)
+  else if Memsys.resolved p then begin
     (* A dependent instruction cannot proceed until the load completes;
        the scheduler parks the thread, and the load commits through the
        normal contention-delayed machinery.  This stall is what lets
        program-order-later independent stores retire first (the LB weak
        behaviour). *)
-    if Memsys.resolved p then begin
-      let v = Memsys.force ctx.mem ~tid:ctx.gid p in
-      ctx.regs.(i) <- Val v;
-      v
-    end
-    else raise (Unresolved p)
+    let v = Memsys.force ctx.mem ~tid:ctx.gid p in
+    set_reg ctx i v;
+    v
+  end
+  else raise (Unresolved p)
+
+(* Read-modify-write updates [rmw arg arg2 old]: closed top-level
+   functions, so executing an atomic builds no closure. *)
+let rmw_cas e d old = if old = e then d else old
+let rmw_exch v _ _ = v
+let rmw_add v _ old = old + v
+let rmw_min v _ old = Int.min old v
+let rmw_max v _ old = Int.max old v
+let no_arg _ = 0
 
 (* Register slot allocation: every register name mentioned anywhere in the
    kernel gets one slot. *)
@@ -195,38 +213,18 @@ let compile k ~args =
     | Store { space; addr; value } ->
       emit (Ostore { site = s.sid; space; addr = ce addr; value = ce value })
     | Atomic { dst; space; addr; op } ->
-      let prepare =
+      let arg, arg2, rmw =
         match op with
-        | Acas (expected, desired) ->
-          let fe = ce expected and fd = ce desired in
-          fun ctx ->
-            let e = fe ctx and d = fd ctx in
-            fun old -> if old = e then d else old
-        | Aexch v ->
-          let fv = ce v in
-          fun ctx ->
-            let v = fv ctx in
-            fun _ -> v
-        | Aadd v ->
-          let fv = ce v in
-          fun ctx ->
-            let v = fv ctx in
-            fun old -> old + v
-        | Amin v ->
-          let fv = ce v in
-          fun ctx ->
-            let v = fv ctx in
-            fun old -> Int.min old v
-        | Amax v ->
-          let fv = ce v in
-          fun ctx ->
-            let v = fv ctx in
-            fun old -> Int.max old v
+        | Acas (expected, desired) -> (ce expected, ce desired, rmw_cas)
+        | Aexch v -> (ce v, no_arg, rmw_exch)
+        | Aadd v -> (ce v, no_arg, rmw_add)
+        | Amin v -> (ce v, no_arg, rmw_min)
+        | Amax v -> (ce v, no_arg, rmw_max)
       in
       emit
         (Oatomic
            { site = s.sid; dst = Option.map slot dst; space; addr = ce addr;
-             prepare })
+             arg; arg2; rmw })
     | Fence scope -> emit (Ofence scope)
     | Barrier -> emit Obarrier
     | Return -> emit Oreturn
@@ -266,5 +264,6 @@ let compile k ~args =
     slots = Hashtbl.fold (fun r i acc -> (r, i) :: acc) slots [] }
 
 let make_ctx ~code ~gid ~l_tid ~l_bid ~l_bdim ~l_gdim ~mem ~shared =
-  { gid; regs = Array.make (Int.max 1 code.n_regs) (Val 0);
+  let n = Int.max 1 code.n_regs in
+  { gid; regs = Array.make n 0; pend = Array.make n Memsys.no_pending;
     l_tid; l_bid; l_bdim; l_gdim; mem; shared }

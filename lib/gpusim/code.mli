@@ -9,8 +9,9 @@
 
 exception Trap of string
 (** Raised during execution on kernel faults: out-of-bounds accesses,
-    division by zero, or a read of a register holding no value.  The
-    simulator turns it into an erroneous launch outcome. *)
+    division or remainder by zero, or a jump cycle.  Registers start at
+    zero, so reading one is never a fault.  The simulator turns it into
+    an erroneous launch outcome. *)
 
 exception Unresolved of Memsys.pending
 (** Raised when an instruction needs the value of a still-pending load.
@@ -18,10 +19,14 @@ exception Unresolved of Memsys.pending
     re-executes the instruction (expression evaluation is effect-free up
     to the raise, so re-execution is sound). *)
 
-(** Per-thread execution context. *)
+(** Per-thread execution context.  Register slot [i] holds the value
+    [regs.(i)] when [pend.(i)] is {!Memsys.no_pending}, and otherwise the
+    load [pend.(i)], whose value arrives when it commits.  Write slots
+    only through {!set_reg} and {!set_pend}. *)
 type tctx = {
   gid : int;  (** physical thread index, keys the memory subsystem *)
-  regs : rv array;
+  regs : int array;
+  pend : Memsys.pending array;
   l_tid : int;  (** logical [threadIdx.x] (after randomisation) *)
   l_bid : int;  (** logical [blockIdx.x] *)
   l_bdim : int;
@@ -29,8 +34,6 @@ type tctx = {
   mem : Memsys.t;
   shared : int array;  (** the block's shared memory *)
 }
-
-and rv = Val of int | Pend of Memsys.pending
 
 type ev = tctx -> int
 (** A staged expression evaluator.  Reading a register that holds a
@@ -45,9 +48,13 @@ type op =
       dst : int option;
       space : Kernel.space;
       addr : ev;
-      (* operand evaluators, run before the atomic takes effect *)
-      prepare : tctx -> int -> int;
-          (** [prepare ctx] is evaluated to a pure [old -> new] function *)
+      arg : ev;
+      arg2 : ev;
+          (** operand evaluators, run in this order before the atomic
+              takes effect; [arg2] is CAS's desired value and [0]
+              otherwise *)
+      rmw : int -> int -> int -> int;
+          (** [rmw arg arg2 old] is the new value *)
     }
   | Ofence of Kernel.fence_scope
   | Obarrier
@@ -76,6 +83,12 @@ val make_ctx :
   l_tid:int -> l_bid:int -> l_bdim:int -> l_gdim:int ->
   mem:Memsys.t -> shared:int array ->
   tctx
+
+val set_reg : tctx -> int -> int -> unit
+(** [set_reg ctx i v] makes slot [i] hold the value [v]. *)
+
+val set_pend : tctx -> int -> Memsys.pending -> unit
+(** [set_pend ctx i p] makes slot [i] hold the in-flight load [p]. *)
 
 val read_reg : tctx -> int -> int
 (** Read a register slot.

@@ -20,6 +20,8 @@ let dummy_entry =
   { seq = 0; addr = 0; part = 0; ekind = Load_k; store_value = 0;
     resolved = false; load_value = 0; leak = false; alive = false }
 
+let no_pending = dummy_entry
+
 (* Per-thread pending FIFO as a preallocated slot array, reused across
    launches and across runs (allocation discipline: the former
    representation was an [entry list ref] rebuilt by [List.filter] on
@@ -34,15 +36,23 @@ type queue = {
   mutable head : int;  (* first live slot (when live > 0) *)
   mutable tail : int;  (* one past the last used slot *)
   mutable live : int;  (* pending entries, i.e. the logical length *)
+  hash : int;  (* [Hashtbl.hash] of the owning thread id, see [list_thread] *)
+  mutable listed : bool;  (* in the device's [nonempty] set *)
 }
 
-let new_queue () = { buf = Array.make 8 dummy_entry; head = 0; tail = 0; live = 0 }
+(* The bucket count of [Hashtbl.create 64], see [list_thread]. *)
+let initial_buckets = 64
+
+let new_queue tid =
+  { buf = Array.make 8 dummy_entry; head = 0; tail = 0; live = 0;
+    hash = Hashtbl.hash tid; listed = false }
 
 let q_reset q =
   if q.tail > 0 then Array.fill q.buf 0 q.tail dummy_entry;
   q.head <- 0;
   q.tail <- 0;
-  q.live <- 0
+  q.live <- 0;
+  q.listed <- false
 
 (* Advance [head] past tombstones (or reset the slot window when the
    queue empties), clearing vacated slots. *)
@@ -117,7 +127,10 @@ type t = {
   mutable stress_states : stress_state array;
   mutable stress_gen : int array;
   mutable cur_gen : int;
-  nonempty : (int, unit) Hashtbl.t;  (* threads with pending entries *)
+  (* threads with pending entries, in [list_thread]'s order *)
+  mutable nonempty : int array;
+  mutable n_nonempty : int;
+  mutable buckets : int;
   (* scratch for [attempt_commits]: the partition-head snapshot and the
      seen-partition stamps, preallocated so the hot path allocates
      nothing *)
@@ -149,7 +162,7 @@ let create ~chip ~rng ~words ~nthreads =
     decay_pow.(i) <- decay_pow.(i - 1) *. w.decay_per_tick
   done;
   { chip; rng; global = Array.make words 0;
-    queues = Array.init nthreads (fun _ -> new_queue ());
+    queues = Array.init nthreads new_queue;
     seq = 0; now = 0;
     read_pool = Array.make n 0.0;
     write_pool = Array.make n 0.0;
@@ -159,7 +172,9 @@ let create ~chip ~rng ~words ~nthreads =
       Array.init nthreads (fun _ -> { prev = 0; run = 0; prev_run = 0 });
     stress_gen = Array.make nthreads 0;
     cur_gen = 0;
-    nonempty = Hashtbl.create 64;
+    nonempty = Array.make 16 0;
+    n_nonempty = 0;
+    buckets = initial_buckets;
     heads_scratch = Array.make (Int.max 1 w.queue_cap) dummy_entry;
     seen_stamp = Array.make n 0;
     seen_gen = 0;
@@ -182,7 +197,7 @@ let grow_thread_state t ~nthreads =
   if cap < nthreads then begin
     let old = t.queues in
     t.queues <-
-      Array.init nthreads (fun i -> if i < cap then old.(i) else new_queue ())
+      Array.init nthreads (fun i -> if i < cap then old.(i) else new_queue i)
   end;
   let scap = Array.length t.stress_states in
   if scap < nthreads then begin
@@ -201,7 +216,8 @@ let reset_threads t ~nthreads =
   Array.fill t.write_pool 0 (Array.length t.write_pool) 0.0;
   Array.fill t.pool_stamp 0 (Array.length t.pool_stamp) 0;
   t.cur_gen <- t.cur_gen + 1;
-  Hashtbl.reset t.nonempty
+  t.n_nonempty <- 0;
+  t.buckets <- initial_buckets
 
 let reset_device t =
   Array.fill t.global 0 (Array.length t.global) 0;
@@ -210,7 +226,8 @@ let reset_device t =
   Array.fill t.write_pool 0 (Array.length t.write_pool) 0.0;
   Array.fill t.pool_stamp 0 (Array.length t.pool_stamp) 0;
   t.cur_gen <- t.cur_gen + 1;
-  Hashtbl.reset t.nonempty;
+  t.n_nonempty <- 0;
+  t.buckets <- initial_buckets;
   t.seq <- 0;
   t.now <- 0;
   t.n_reorders <- 0;
@@ -259,27 +276,44 @@ let maybe_flip t ~tid ~addr v =
 (* ------------------------------------------------------------------ *)
 (* Contention pools                                                     *)
 
-let refresh_pool t part =
+(* [refresh_pool], [add_contention], [contention], [traffic_bump],
+   [delay_for] and their helpers are [@inline] so that the floats they
+   pass and return stay unboxed on the per-tick path. *)
+let[@inline] decay t dt = if dt < 128 then t.decay_pow.(dt) else 0.0
+
+let[@inline] refresh_pool t part =
   let dt = t.now - t.pool_stamp.(part) in
   if dt > 0 then begin
-    let f = if dt < 128 then t.decay_pow.(dt) else 0.0 in
+    let f = decay t dt in
     t.read_pool.(part) <- t.read_pool.(part) *. f;
     t.write_pool.(part) <- t.write_pool.(part) *. f;
     t.pool_stamp.(part) <- t.now
   end
 
-let add_contention t part ckind amount =
+let[@inline] add_contention t part ckind amount =
   refresh_pool t part;
   match ckind with
   | `Load -> t.read_pool.(part) <- t.read_pool.(part) +. amount
   | `Store -> t.write_pool.(part) <- t.write_pool.(part) +. amount
 
-let contention t ~part ~kind =
-  refresh_pool t part;
-  let w = t.chip.Chip.weakness in
+(* The decayed pools are computed, not stored: an observer that wrote
+   them back would change the floating-point path of every later decay
+   (pool * f(a) * f(b) is not pool * f(a+b)), and with it later commit
+   decisions. *)
+let[@inline] peek_contention t ~part ~kind =
+  let dt = t.now - t.pool_stamp.(part) in
+  let f = if dt > 0 then decay t dt else 1.0 in
+  let r = t.read_pool.(part) *. f and w = t.write_pool.(part) *. f in
+  let cross = t.chip.Chip.weakness.cross in
   match kind with
-  | `Load -> t.read_pool.(part) +. (w.cross *. t.write_pool.(part))
-  | `Store -> t.write_pool.(part) +. (w.cross *. t.read_pool.(part))
+  | `Load -> r +. (cross *. w)
+  | `Store -> w +. (cross *. r)
+
+(* The simulation's own read refreshes the pools first, so that the
+   decay path depends on when entries commit, never on observers. *)
+let[@inline] contention t ~part ~kind =
+  refresh_pool t part;
+  peek_contention t ~part ~kind
 
 let stress_state t sid =
   if sid >= Array.length t.stress_states then
@@ -297,13 +331,13 @@ let stress_state t sid =
    pattern so far.  At a loop boundary the pattern linkage to the previous
    iteration is weakened by the chip's boundary factor, which is why
    rotations of a stressing sequence are not equally effective. *)
-let traffic_bump t st k ~boundary =
+let[@inline] traffic_bump t st k ~boundary =
   let tr = t.chip.Chip.traffic in
   let kc = prev_code k in
   let same = st.prev = kc in
   let run = if same then st.run + 1 else 1 in
   let runfac_arr = match k with Load_k -> tr.run_ld | Store_k -> tr.run_st in
-  let runfac = runfac_arr.(min run (Array.length runfac_arr) - 1) in
+  let runfac = runfac_arr.(Int.min run (Array.length runfac_arr) - 1) in
   (* Run lengths persist across loop iterations: an all-store (or
      all-load) loop degenerates to one endless run whose pressure decays
      to the run table's tail, which is why pure sequences are the worst
@@ -317,7 +351,7 @@ let traffic_bump t st k ~boundary =
   in
   let flush =
     if k = Store_k && st.prev = prev_code Load_k then
-      tr.flush_bonus *. float_of_int (min st.run tr.flush_cap) *. bf
+      tr.flush_bonus *. float_of_int (Int.min st.run tr.flush_cap) *. bf
     else 0.0
   in
   if same then st.run <- run
@@ -351,9 +385,67 @@ let app_access t ~kind ~addr =
 
 let queue t tid = t.queues.(tid)
 
+(* [random_background_drain] picks the i-th thread with pending entries,
+   so results depend on the order of that set.  The order is the
+   iteration order of an [(int, unit) Hashtbl.t] made by
+   [Hashtbl.create 64], which every recorded result depends on; the
+   dense array keeps exactly that order without walking the table's
+   mostly empty buckets on every pick: ascending bucket ([Hashtbl.hash
+   tid] masked by the bucket count), newest first within a bucket.  The
+   bucket count follows the table's: [initial_buckets], doubled whenever
+   the set holds more than twice as many threads, and back to
+   [initial_buckets] on reset.  test_memsys checks the order against a
+   real table. *)
+let[@inline] bucket t q = q.hash land (t.buckets - 1)
+
+let list_thread t tid q =
+  let n = t.n_nonempty in
+  if n = Array.length t.nonempty then begin
+    let a = Array.make (2 * n) 0 in
+    Array.blit t.nonempty 0 a 0 n;
+    t.nonempty <- a
+  end;
+  let a = t.nonempty in
+  let b = bucket t q in
+  let k = ref 0 in
+  while !k < n && bucket t t.queues.(a.(!k)) < b do
+    incr k
+  done;
+  Array.blit a !k a (!k + 1) (n - !k);
+  a.(!k) <- tid;
+  t.n_nonempty <- n + 1;
+  q.listed <- true;
+  if t.n_nonempty > 2 * t.buckets then begin
+    (* The table's resize keeps each old bucket's order within the new
+       buckets: a stable sort by the new bucket. *)
+    t.buckets <- 2 * t.buckets;
+    for i = 1 to t.n_nonempty - 1 do
+      let x = a.(i) in
+      let bx = bucket t t.queues.(x) in
+      let j = ref (i - 1) in
+      while !j >= 0 && bucket t t.queues.(a.(!j)) > bx do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  end
+
+let unlist_thread t tid q =
+  let a = t.nonempty and n = t.n_nonempty in
+  let k = ref 0 in
+  while a.(!k) <> tid do
+    incr k
+  done;
+  Array.blit a (!k + 1) a !k (n - !k - 1);
+  t.n_nonempty <- n - 1;
+  q.listed <- false
+
 let mark_nonempty t tid q =
-  if q.live = 0 then Hashtbl.remove t.nonempty tid
-  else Hashtbl.replace t.nonempty tid ()
+  if q.live = 0 then begin
+    if q.listed then unlist_thread t tid q
+  end
+  else if not q.listed then list_thread t tid q
 
 (* Resolve a load's value: forward from the newest older pending store of
    the same thread to the same address, else read memory. *)
@@ -415,7 +507,7 @@ let commit t tid e =
 
 let pending_count t ~tid = (queue t tid).live
 
-let delay_for t e =
+let[@inline] delay_for t e =
   let w = t.chip.Chip.weakness in
   let kind = match e.ekind with Load_k -> `Load | Store_k -> `Store in
   let c = contention t ~part:e.part ~kind in
@@ -495,21 +587,11 @@ let commit_nth t ~tid ~n =
   done;
   commit t tid !chosen
 
-let any_pending t = Hashtbl.length t.nonempty > 0
+let any_pending t = t.n_nonempty > 0
 
 let random_background_drain t =
-  let n = Hashtbl.length t.nonempty in
-  if n > 0 then begin
-    let i = Rng.int t.rng n in
-    let tid = ref (-1) in
-    let j = ref 0 in
-    Hashtbl.iter
-      (fun k () ->
-        if !j = i then tid := k;
-        incr j)
-      t.nonempty;
-    if !tid >= 0 then attempt_commits t ~tid:!tid
-  end
+  let n = t.n_nonempty in
+  if n > 0 then attempt_commits t ~tid:t.nonempty.(Rng.int t.rng n)
 
 let fresh_entry t ~addr ~ekind ~store_value =
   let w = t.chip.Chip.weakness in
@@ -564,7 +646,7 @@ let store t ~tid ~addr ~value =
   if t.strong then t.global.(addr) <- maybe_flip t ~tid ~addr value
   else enqueue t tid (fresh_entry t ~addr ~ekind:Store_k ~store_value:value)
 
-let atomic t ~tid ~addr f =
+let atomic t ~tid ~addr rmw a b =
   observe_access t ~tid ~addr ~write:true ~atomic:true;
   if not t.strong then begin
     (* The atomic must observe this thread's program-order past on the
@@ -589,7 +671,7 @@ let atomic t ~tid ~addr f =
     done
   end;
   let old = t.global.(addr) in
-  t.global.(addr) <- f old;
+  t.global.(addr) <- rmw a b old;
   if Trace.active t.sink then
     Trace.emit t.sink ~tick:t.now
       (Trace.Atomic_rmw { tid; addr; before = old; after = t.global.(addr) });

@@ -27,6 +27,10 @@ type t
 type pending
 (** A handle to a pending load. *)
 
+val no_pending : pending
+(** A handle that is never issued: a sentinel for "no load in flight"
+    (see {!Code.tctx}).  Compare with [==]. *)
+
 val create : chip:Chip.t -> rng:Rng.t -> words:int -> nthreads:int -> t
 (** A fresh subsystem with [words] of zeroed global memory and state for
     thread ids [0 .. nthreads-1].  When the chip is strong
@@ -77,10 +81,13 @@ val store : t -> tid:int -> addr:int -> value:int -> unit
 (** Issue a store.  If the thread's FIFO is at capacity the oldest entry
     is committed first. *)
 
-val atomic : t -> tid:int -> addr:int -> (int -> int) -> int
-(** [atomic t ~tid ~addr f] atomically replaces [m] by [f m] and returns
-    the previous value [m].  Pending same-address entries of [tid] are
-    committed first so the atomic observes its own program-order past. *)
+val atomic :
+  t -> tid:int -> addr:int -> (int -> int -> int -> int) -> int -> int -> int
+(** [atomic t ~tid ~addr rmw a b] atomically replaces [m] by [rmw a b m]
+    and returns the previous value [m].  The operands [a] and [b] are
+    passed apart from [rmw] so that a closed [rmw] needs no closure per
+    call.  Pending same-address entries of [tid] are committed first so
+    the atomic observes its own program-order past. *)
 
 val drain : t -> tid:int -> int
 (** Commit all pending entries of [tid] in sequence order (a fence).
@@ -125,9 +132,13 @@ val app_access : t -> kind:[ `Load | `Store ] -> addr:int -> unit
 (** Contention contribution of an ordinary application access (weaker than
     stressing, no pattern state). *)
 
-val contention : t -> part:int -> kind:[ `Load | `Store ] -> float
+val peek_contention : t -> part:int -> kind:[ `Load | `Store ] -> float
 (** Effective contention seen by a pending entry of the given kind in
-    partition [part] (includes the cross-pool term). *)
+    partition [part] (includes the cross-pool term).  The pools decay
+    lazily; this computes the decayed value without writing it back,
+    because a write-back would move later decays onto a different
+    floating-point path.  Reading it never changes a later execution
+    step. *)
 
 (** {1 Bookkeeping} *)
 

@@ -170,6 +170,21 @@ type thread = {
   period : int;
 }
 
+(* Follow jump chains for free; only "real" operations cost a tick.  Leaves
+   [th.pc] at the returned operation. *)
+let rec fetch th pc fuel =
+  if fuel = 0 then raise (Code.Trap "jump cycle");
+  match th.code.Code.ops.(pc) with
+  | Code.Ojump target -> fetch th target (fuel - 1)
+  | op ->
+    th.pc <- pc;
+    op
+
+(* By match, not by [=]: [status] carries a pending handle, so a
+   polymorphic comparison would call into the runtime on every tick. *)
+let is_done th = match th.status with Done -> true | _ -> false
+let at_barrier th = match th.status with At_barrier -> true | _ -> false
+
 type blk = {
   mutable live : int;  (* threads not yet Done *)
   mutable waiting : int;  (* threads at the barrier *)
@@ -376,11 +391,11 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let release_barrier b ~by_exit =
     Array.iter
       (fun th ->
-        if th.status <> Done then ignore (Memsys.drain t.mem ~tid:th.ctx.Code.gid))
+        if not (is_done th) then ignore (Memsys.drain t.mem ~tid:th.ctx.Code.gid))
       b.members;
     Array.iter
       (fun th ->
-        if th.status = At_barrier then begin
+        if at_barrier th then begin
           th.status <- Running;
           add_runnable th.ctx.Code.gid
         end)
@@ -425,19 +440,10 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let exec th =
     let ctx = th.ctx in
     let gid = ctx.Code.gid in
-    (* Follow jump chains for free; only "real" operations cost a tick. *)
-    let rec fetch pc fuel =
-      if fuel = 0 then raise (Code.Trap "jump cycle");
-      match th.code.Code.ops.(pc) with
-      | Code.Ojump target -> fetch target (fuel - 1)
-      | op ->
-        th.pc <- pc;
-        op
-    in
-    match fetch th.pc (Array.length th.code.Code.ops + 1) with
+    match fetch th th.pc (Array.length th.code.Code.ops + 1) with
     | Code.Ojump _ -> assert false
     | Code.Oassign (i, f) ->
-      ctx.Code.regs.(i) <- Code.Val (f ctx);
+      Code.set_reg ctx i (f ctx);
       th.pc <- th.pc + 1;
       if not th.daemon then metrics.Metrics.n_alu <- metrics.Metrics.n_alu + 1;
       charge th cost.cycles_alu
@@ -451,21 +457,20 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       (match space with
       | Kernel.Shared ->
         bounds_shared th a;
-        ctx.Code.regs.(dst) <- Code.Val ctx.Code.shared.(a)
+        Code.set_reg ctx dst ctx.Code.shared.(a)
       | Kernel.Global ->
         bounds_global a;
         if th.daemon then begin
           let boundary = th.period > 0 && th.accesses mod th.period = 0 in
           th.accesses <- th.accesses + 1;
           Memsys.stress_access t.mem ~sid:gid ~kind:`Load ~addr:a ~boundary;
-          ctx.Code.regs.(dst) <- Code.Val (Memsys.read t.mem a)
+          Code.set_reg ctx dst (Memsys.read t.mem a)
         end
         else begin
           Memsys.app_access t.mem ~kind:`Load ~addr:a;
           let p = Memsys.load t.mem ~tid:gid ~addr:a in
-          ctx.Code.regs.(dst) <-
-            (if weak then Code.Pend p
-             else Code.Val (Memsys.force t.mem ~tid:gid p))
+          if weak then Code.set_pend ctx dst p
+          else Code.set_reg ctx dst (Memsys.force t.mem ~tid:gid p)
         end);
       th.pc <- th.pc + 1;
       count_load th;
@@ -491,23 +496,24 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       th.pc <- th.pc + 1;
       count_store th;
       charge th cost.cycles_mem
-    | Code.Oatomic { dst; space; addr; prepare; _ } ->
+    | Code.Oatomic { dst; space; addr; arg; arg2; rmw; _ } ->
       let a = addr ctx in
-      let f = prepare ctx in
+      let x = arg ctx in
+      let y = arg2 ctx in
       let old =
         match space with
         | Kernel.Shared ->
           bounds_shared th a;
           let old = ctx.Code.shared.(a) in
-          ctx.Code.shared.(a) <- f old;
+          ctx.Code.shared.(a) <- rmw x y old;
           old
         | Kernel.Global ->
           bounds_global a;
           Memsys.app_access t.mem ~kind:`Store ~addr:a;
-          Memsys.atomic t.mem ~tid:gid ~addr:a f
+          Memsys.atomic t.mem ~tid:gid ~addr:a rmw x y
       in
       (match dst with
-      | Some i -> ctx.Code.regs.(i) <- Code.Val old
+      | Some i -> Code.set_reg ctx i old
       | None -> ());
       th.pc <- th.pc + 1;
       if not th.daemon then
@@ -579,8 +585,10 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
          match Atomic.get poll_hook with Some f -> f () | None -> ()
        end;
        (* Sample one partition's contention pools every 64 ticks, walking
-          the partitions round-robin.  Reads no randomness, so tracing
-          never perturbs an execution. *)
+          the partitions round-robin.  The sample draws no randomness and
+          [peek_contention] writes nothing back (a refreshing read would
+          move later pool decays onto another floating-point path), so
+          tracing never perturbs an execution. *)
        if Trace.active sink && !ticks land 63 = 0 then begin
          let part =
            !ticks lsr 6 mod t.chip.Chip.weakness.Chip.n_partitions
@@ -588,8 +596,8 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
          Trace.emit sink ~tick:(tick_now ())
            (Trace.Contention
               { part;
-                read = Memsys.contention t.mem ~part ~kind:`Load;
-                write = Memsys.contention t.mem ~part ~kind:`Store })
+                read = Memsys.peek_contention t.mem ~part ~kind:`Load;
+                write = Memsys.peek_contention t.mem ~part ~kind:`Store })
        end;
        let pick_daemon =
          if !n_run_daemon = 0 then false
@@ -608,7 +616,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
        let th = threads.(gid) in
        step th;
        if
-         weak && th.status <> Done
+         weak && not (is_done th)
          && Rng.chance t.rng owner_attempt_probability
        then Memsys.attempt_commits t.mem ~tid:gid;
        if weak && !ticks land 3 = 0 then
@@ -738,14 +746,14 @@ let run_schedule t ?blocks ~threads ~args ~watch_mem ~watch_regs schedule =
     let gid = ctx.Code.gid in
     match th.r_code.Code.ops.(th.r_pc) with
     | Code.Oassign (i, ev) ->
-      ctx.Code.regs.(i) <- Code.Val (ev ctx);
+      Code.set_reg ctx i (ev ctx);
       th.r_pc <- th.r_pc + 1
     | Code.Oload { dst; space = Kernel.Global; addr; _ } ->
       let a = addr ctx in
       bounds a;
       let p = Memsys.load t.mem ~tid:gid ~addr:a in
-      ctx.Code.regs.(dst) <-
-        (if weak then Code.Pend p else Code.Val (Memsys.force t.mem ~tid:gid p));
+      if weak then Code.set_pend ctx dst p
+      else Code.set_reg ctx dst (Memsys.force t.mem ~tid:gid p);
       th.r_pc <- th.r_pc + 1
     | Code.Ostore { space = Kernel.Global; addr; value; _ } ->
       let a = addr ctx in
@@ -753,13 +761,14 @@ let run_schedule t ?blocks ~threads ~args ~watch_mem ~watch_regs schedule =
       bounds a;
       Memsys.store t.mem ~tid:gid ~addr:a ~value:v;
       th.r_pc <- th.r_pc + 1
-    | Code.Oatomic { dst; space = Kernel.Global; addr; prepare; _ } ->
+    | Code.Oatomic { dst; space = Kernel.Global; addr; arg; arg2; rmw; _ } ->
       let a = addr ctx in
       bounds a;
-      let f = prepare ctx in
-      let old = Memsys.atomic t.mem ~tid:gid ~addr:a f in
+      let x = arg ctx in
+      let y = arg2 ctx in
+      let old = Memsys.atomic t.mem ~tid:gid ~addr:a rmw x y in
       (match dst with
-      | Some i -> ctx.Code.regs.(i) <- Code.Val old
+      | Some i -> Code.set_reg ctx i old
       | None -> ());
       th.r_pc <- th.r_pc + 1
     | Code.Oload _ | Code.Ostore _ | Code.Oatomic _ ->
@@ -824,10 +833,10 @@ let run_schedule t ?blocks ~threads ~args ~watch_mem ~watch_regs schedule =
            let v =
              match Code.reg_slot th.r_code r with
              | None -> 0
-             | Some s -> (
-               match th.r_ctx.Code.regs.(s) with
-               | Code.Val v -> v
-               | Code.Pend p -> Memsys.force t.mem ~tid:ti p)
+             | Some s ->
+               let p = th.r_ctx.Code.pend.(s) in
+               if p == Memsys.no_pending then th.r_ctx.Code.regs.(s)
+               else Memsys.force t.mem ~tid:ti p
            in
            (ti, r, v))
          watch_regs)

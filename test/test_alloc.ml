@@ -84,14 +84,15 @@ let test_reset_equals_create () =
   done
 
 (* The committed per-run minor-heap budget, in words.  Measured at
-   ~0.8k words/run when the budget was last tightened (ring-buffer
+   ~410 words/run when the budget was last tightened (ring-buffer
    queues, recycled simulator, memoised kernel ASTs, per-sim compiled
    code cache, one-word shared arrays for the shared-memory-free litmus
-   kernels); the ceiling leaves ~3x headroom for noise and compiler
-   drift but fails on any structural regression — per-run kernel
-   compilation alone costs several hundred words, and per-run device
-   creation >2k words of arrays. *)
-let per_run_budget_words = 2_500.0
+   kernels, unboxed rng state and register file; ~820 before the last
+   two); the ceiling leaves 1.5x headroom for compiler drift but fails
+   on any structural regression — per-run kernel compilation alone
+   costs several hundred words, and per-run device creation >2k words
+   of arrays. *)
+let per_run_budget_words = 620.0
 
 let batch_runs = 400
 
@@ -115,6 +116,48 @@ let test_minor_words_budget () =
        %.0f words — did a hot path start allocating per run again?"
       per_run per_run_budget_words
 
+(* Application runs: a whole Table 5 cell row is thousands of these, and
+   their cost is the simulator's tick loop, so the budget is per run of a
+   fixed K20 / sys-str+ batch over every application.  Measured at ~24k
+   words/run once the tick loop stopped allocating (unboxed rng state and
+   register file, no per-step closures); it was ~1.44M words/run before,
+   when every random draw boxed an Int64.  What remains is mostly
+   per-launch set-up (thread records, register files) and pending
+   entries. *)
+let app_run_budget_words = 37_000.0
+
+let app_batch_runs = 5
+
+let app_batch ~runs ~seed =
+  let env = Test_util.sys_plus_env chip in
+  List.iter
+    (fun (app : Apps.App.t) ->
+      for i = 0 to runs - 1 do
+        Gpusim.Sim.with_sim ~chip ~seed:(Gpusim.Rng.subseed seed i)
+          (fun sim ->
+            Gpusim.Sim.set_environment sim env;
+            ignore (app.run sim Apps.App.Original))
+      done)
+    Apps.Registry.all
+
+let test_app_run_budget () =
+  app_batch ~runs:1 ~seed:0;
+  let before = Gc.minor_words () in
+  app_batch ~runs:app_batch_runs ~seed:7;
+  let after = Gc.minor_words () in
+  let per_run =
+    (after -. before)
+    /. float_of_int (app_batch_runs * List.length Apps.Registry.all)
+  in
+  Printf.printf "alloc: %.0f minor words/app run (budget %.0f)\n%!" per_run
+    app_run_budget_words;
+  if per_run > app_run_budget_words then
+    Alcotest.failf
+      "per-app-run minor allocation %.0f words exceeds the committed budget \
+       of %.0f words — did the simulator's tick loop start allocating \
+       again?"
+      per_run app_run_budget_words
+
 let () =
   Alcotest.run "alloc"
     [ ( "allocation discipline",
@@ -123,4 +166,6 @@ let () =
           Alcotest.test_case "reset = create under environment" `Quick
             test_reset_equals_create;
           Alcotest.test_case "minor-words budget per litmus run" `Quick
-            test_minor_words_budget ] ) ]
+            test_minor_words_budget;
+          Alcotest.test_case "minor-words budget per app run" `Quick
+            test_app_run_budget ] ) ]

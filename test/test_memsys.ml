@@ -49,14 +49,14 @@ let test_same_address_order () =
 let test_atomic_sees_own_past () =
   let m = make () in
   Gpusim.Memsys.store m ~tid:0 ~addr:6 ~value:10;
-  let old = Gpusim.Memsys.atomic m ~tid:0 ~addr:6 (fun v -> v + 1) in
+  let old = Gpusim.Memsys.atomic m ~tid:0 ~addr:6 (fun v _ old -> old + v) 1 0 in
   Alcotest.(check int) "atomic observed own pending store" 10 old;
   Alcotest.(check int) "atomic effect immediate" 11 (Gpusim.Memsys.read m 6)
 
 let test_atomic_no_full_drain () =
   let m = make () in
   Gpusim.Memsys.store m ~tid:0 ~addr:7 ~value:1;
-  ignore (Gpusim.Memsys.atomic m ~tid:0 ~addr:8 (fun v -> v + 1));
+  ignore (Gpusim.Memsys.atomic m ~tid:0 ~addr:8 (fun v _ old -> old + v) 1 0);
   Alcotest.(check int)
     "atomic on another address leaves pending stores alone" 1
     (Gpusim.Memsys.pending_count m ~tid:0)
@@ -95,12 +95,12 @@ let test_reorder_counting () =
 let test_contention_decay () =
   let m = make () in
   Gpusim.Memsys.stress_access m ~sid:0 ~kind:`Store ~addr:0 ~boundary:false;
-  let c0 = Gpusim.Memsys.contention m ~part:0 ~kind:`Store in
+  let c0 = Gpusim.Memsys.peek_contention m ~part:0 ~kind:`Store in
   Alcotest.(check bool) "bump recorded" true (c0 > 0.0);
   for _ = 1 to 500 do
     Gpusim.Memsys.tick m
   done;
-  let c1 = Gpusim.Memsys.contention m ~part:0 ~kind:`Store in
+  let c1 = Gpusim.Memsys.peek_contention m ~part:0 ~kind:`Store in
   Alcotest.(check bool) "decayed to (near) zero" true (c1 < 0.01 *. c0 +. 1e-9)
 
 let test_stress_gain_scales () =
@@ -108,7 +108,7 @@ let test_stress_gain_scales () =
     let m = make () in
     Gpusim.Memsys.set_stress_gain m gain;
     Gpusim.Memsys.stress_access m ~sid:0 ~kind:`Load ~addr:0 ~boundary:false;
-    Gpusim.Memsys.contention m ~part:0 ~kind:`Load
+    Gpusim.Memsys.peek_contention m ~part:0 ~kind:`Load
   in
   let b1 = bump 1.0 and b2 = bump 2.0 in
   Alcotest.(check bool) "gain doubles the bump" true
@@ -119,10 +119,10 @@ let test_pure_run_decays () =
   let m = make () in
   let bumps =
     List.init 8 (fun _ ->
-        let before = Gpusim.Memsys.contention m ~part:0 ~kind:`Store in
+        let before = Gpusim.Memsys.peek_contention m ~part:0 ~kind:`Store in
         Gpusim.Memsys.stress_access m ~sid:0 ~kind:`Store ~addr:0
           ~boundary:false;
-        Gpusim.Memsys.contention m ~part:0 ~kind:`Store -. before)
+        Gpusim.Memsys.peek_contention m ~part:0 ~kind:`Store -. before)
   in
   let first = List.hd bumps in
   let last = List.nth bumps 7 in
@@ -524,7 +524,9 @@ let real_impl : (Gpusim.Memsys.t, Gpusim.Memsys.pending) impl =
     i_load = Gpusim.Memsys.load;
     i_force = Gpusim.Memsys.force;
     i_resolved = Gpusim.Memsys.resolved;
-    i_atomic = Gpusim.Memsys.atomic;
+    i_atomic =
+      (fun m ~tid ~addr f ->
+        Gpusim.Memsys.atomic m ~tid ~addr (fun _ _ old -> f old) 0 0);
     i_drain = Gpusim.Memsys.drain;
     i_drain_step = Gpusim.Memsys.drain_step;
     i_attempt = Gpusim.Memsys.attempt_commits;
@@ -538,7 +540,7 @@ let real_impl : (Gpusim.Memsys.t, Gpusim.Memsys.pending) impl =
     i_reorders = Gpusim.Memsys.reorders;
     i_stress_accesses = Gpusim.Memsys.stress_accesses;
     i_any_pending = Gpusim.Memsys.any_pending;
-    i_contention = Gpusim.Memsys.contention;
+    i_contention = Gpusim.Memsys.peek_contention;
     i_sink = Gpusim.Memsys.sink }
 
 let model_impl : (Model.t, Model.pending) impl =
@@ -666,6 +668,72 @@ let model_equiv =
            %s@.model: %s"
           a b)
 
+(* Background drains pick the i-th thread with pending entries in the
+   iteration order of the [Hashtbl] the model keeps them in.  With a few
+   threads that order is exercised above; here hundreds of threads have
+   pending stores at once, so the set outgrows the table's 64 buckets
+   and both of its resizes must be followed. *)
+let many_threads = 400
+
+type many_op = Many_store of int | Many_fence of int | Many_background | Many_tick
+
+let many_gen =
+  let open QCheck.Gen in
+  let tid = int_range 0 (many_threads - 1) in
+  (* A prefix of stores by [k] distinct threads fills the set past 128
+     (and 256) entries; the mixed tail then drains and refills it. *)
+  let prefix =
+    int_range 100 many_threads >>= fun k ->
+    map
+      (fun perm -> List.map (fun t -> Many_store t) (List.filteri (fun i _ -> i < k) perm))
+      (shuffle_l (List.init many_threads Fun.id))
+  in
+  let tail =
+    list_size (int_range 100 400)
+      (frequency
+         [ (4, map (fun t -> Many_store t) tid);
+           (1, map (fun t -> Many_fence t) tid);
+           (3, return Many_background);
+           (1, return Many_tick) ])
+  in
+  triple (int_range 1 1_000_000) prefix tail
+
+let run_many (type m p) (impl : (m, p) impl) (m : m) ops =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun op ->
+      match op with
+      | Many_store tid ->
+        impl.i_store m ~tid ~addr:(tid mod model_words) ~value:tid
+      | Many_fence tid -> ignore (impl.i_drain m ~tid)
+      | Many_tick -> impl.i_tick m
+      | Many_background ->
+        impl.i_background m;
+        for tid = 0 to many_threads - 1 do
+          Buffer.add_string buf (string_of_int (impl.i_pending m ~tid));
+          Buffer.add_char buf ','
+        done;
+        Buffer.add_char buf ';')
+    ops;
+  Buffer.add_string buf (Printf.sprintf "reorders=%d" (impl.i_reorders m));
+  Buffer.contents buf
+
+let many_threads_equiv =
+  QCheck.Test.make ~count:40
+    ~name:"background drains over many threads = Hashtbl-ordered model"
+    (QCheck.make many_gen) (fun (seed, prefix, tail) ->
+      let ops = prefix @ tail in
+      let chip = Gpusim.Chip.k20 in
+      let real =
+        Gpusim.Memsys.create ~chip ~rng:(Gpusim.Rng.create seed)
+          ~words:model_words ~nthreads:many_threads
+      in
+      let model =
+        Model.create ~chip ~rng:(Gpusim.Rng.create seed) ~words:model_words
+          ~nthreads:many_threads
+      in
+      String.equal (run_many real_impl real ops) (run_many model_impl model ops))
+
 let () =
   Alcotest.run "memsys"
     [ ( "unit",
@@ -685,4 +753,6 @@ let () =
           Alcotest.test_case "contention decay" `Quick test_contention_decay;
           Alcotest.test_case "stress gain" `Quick test_stress_gain_scales;
           Alcotest.test_case "pure runs decay" `Quick test_pure_run_decays ] );
-      ("model", [ QCheck_alcotest.to_alcotest model_equiv ]) ]
+      ( "model",
+        [ QCheck_alcotest.to_alcotest model_equiv;
+          QCheck_alcotest.to_alcotest many_threads_equiv ] ) ]

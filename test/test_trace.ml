@@ -164,6 +164,55 @@ let test_sequential_chip_never_reorders () =
           records))
 
 (* ------------------------------------------------------------------ *)
+(* Tracing leaves the execution as it was                               *)
+
+(* One stressed application run with the trace ring on or off: the
+   device's stress accesses and reorders, the app's outcome and the final
+   global memory. *)
+let stressed_run ~env ~app ~seed ~traced =
+  let chip = Gpusim.Chip.k20 in
+  let sim = Gpusim.Sim.create ~chip ~seed () in
+  Gpusim.Sim.set_environment sim (Core.Environment.for_app env);
+  if traced then Gpusim.Trace.enable (Gpusim.Sim.trace sim);
+  let outcome = app.Apps.App.run sim Apps.App.Original in
+  let mem = Gpusim.Sim.mem sim in
+  ( Gpusim.Memsys.stress_accesses mem,
+    Gpusim.Sim.reorders sim,
+    outcome,
+    Gpusim.Sim.read_array sim ~base:0 ~len:(Gpusim.Memsys.words mem) )
+
+(* The launch loop samples contention for the trace every 64 ticks.  A
+   sample that wrote the decayed pools back would put later decays on a
+   different floating-point path; rand-str- / ls-bh-nf at seed 27 is a
+   run where that used to change the execution. *)
+let test_tracing_does_not_perturb () =
+  let envs =
+    Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip:Gpusim.Chip.k20)
+  in
+  let env label =
+    List.find (fun e -> e.Core.Environment.label = label) envs
+  in
+  List.iter
+    (fun (label, app_name, seeds) ->
+      let app = Option.get (Apps.Registry.by_name app_name) in
+      List.iter
+        (fun seed ->
+          let what = Printf.sprintf "%s %s seed %d: " label app_name seed in
+          let s0, r0, o0, m0 =
+            stressed_run ~env:(env label) ~app ~seed ~traced:false
+          in
+          let s1, r1, o1, m1 =
+            stressed_run ~env:(env label) ~app ~seed ~traced:true
+          in
+          Alcotest.(check int) (what ^ "stress accesses") s0 s1;
+          Alcotest.(check int) (what ^ "reorders") r0 r1;
+          Alcotest.(check (result unit string)) (what ^ "outcome") o0 o1;
+          Alcotest.(check bool) (what ^ "final memory") true (m0 = m1))
+        seeds)
+    [ ("rand-str-", "ls-bh-nf", [ 26; 27; 28 ]);
+      ("sys-str+", "cbe-dot", [ 1; 2; 3 ]) ]
+
+(* ------------------------------------------------------------------ *)
 (* Cross-backend trace determinism                                      *)
 
 (* A traced campaign: each job runs one application execution with the
@@ -251,7 +300,9 @@ let () =
           Alcotest.test_case "reorders traced" `Quick
             test_reorder_events_on_weak_chip;
           Alcotest.test_case "SC never reorders" `Quick
-            test_sequential_chip_never_reorders ] );
+            test_sequential_chip_never_reorders;
+          Alcotest.test_case "tracing does not perturb" `Quick
+            test_tracing_does_not_perturb ] );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest prop_trace_backend_determinism ] );
       ( "metrics export",
