@@ -659,7 +659,7 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
           | Some p -> (
             match Core.Runlog.load p with
             | Error e ->
-              Fmt.epr "cannot resume from %s: %s@." p e;
+              Fmt.epr "cannot resume: %s@." e;
               exit 2
             | Ok l ->
               (match
@@ -989,10 +989,10 @@ let test_cmd =
               @ passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going)
         }
       in
+      (* Under worker processes this process only replays the shards'
+         cached results, on one domain. *)
       let backend =
-        match procs_n with
-        | Some n -> Core.Exec.Processes n
-        | None -> backend_of jobs
+        if procs_n = None then backend_of jobs else Core.Exec.Serial
       in
       guarded (fun () ->
           with_ledger ?shard
@@ -1510,10 +1510,9 @@ let table_cmd =
                       ~keep_going) } ))
         procs_n
     in
+    (* Under worker processes only the replay pass runs here. *)
     let backend =
-      match procs_n with
-      | Some n -> Core.Exec.Processes n
-      | None -> backend_of jobs
+      if procs_n = None then backend_of jobs else Core.Exec.Serial
     in
     let ledgered :
         type a.
@@ -2114,7 +2113,7 @@ let report_cmd =
     setup_log verbose;
     match Core.Runlog.load from with
     | Error e ->
-      Fmt.epr "%s: %s@." from e;
+      Fmt.epr "%s@." e;
       exit 2
     | Ok l -> render_ledger_result ~format ~path:from l
   in
@@ -2145,7 +2144,7 @@ let compare_cmd =
     let rows_of path =
       match Core.Runlog.load path with
       | Error e ->
-        Fmt.epr "%s: %s@." path e;
+        Fmt.epr "%s@." e;
         exit 2
       | Ok l -> (
         match l.Core.Runlog.result with

@@ -1,4 +1,4 @@
-type backend = Serial | Parallel of int | Processes of int
+type backend = Serial | Parallel of int
 
 let serial = Serial
 
@@ -14,17 +14,7 @@ let clamp_jobs ?(warn = true) n =
 let backend_of_jobs n =
   if n <= 1 then Serial else Parallel (clamp_jobs ~warn:false n)
 
-let jobs_of_backend = function
-  | Serial -> 1
-  | Parallel n | Processes n -> Int.max 1 n
-
-(* [Processes n] is executed in-process as a single domain: the fan-out
-   across n worker subprocesses happens a layer above (Procs), where the
-   command line needed to self-exec is known.  A child, and the parent's
-   final replay-from-shard-caches pass, both land here. *)
-let domains_of_backend = function
-  | Serial | Processes _ -> 1
-  | Parallel n -> Int.max 1 n
+let jobs_of_backend = function Serial -> 1 | Parallel n -> Int.max 1 n
 
 let default_jobs () =
   match Sys.getenv_opt "GPUWMM_JOBS" with
@@ -524,7 +514,7 @@ let map ?(backend = Serial) ?label ?(execs_per_job = 1) ~f jobs =
   let arr = Array.of_list jobs in
   let len = Array.length arr in
   let tick = make_ticker ~label ~execs_per_job ~total:len ~cached:0 ~skipped:0 in
-  let domains = Int.min (domains_of_backend backend) (Int.max 1 len) in
+  let domains = Int.min (jobs_of_backend backend) (Int.max 1 len) in
   let exec = instrumented ?label ~f ~queued_at:(Unix.gettimeofday ()) in
   if domains <= 1 then
     List.mapi
@@ -655,7 +645,7 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
         (if count_errors then Some (Atomic.get errors) else None)
     in
     let sup = Atomic.get supervision_hook in
-    let domains = Int.min (domains_of_backend backend) flen in
+    let domains = Int.min (jobs_of_backend backend) flen in
     let slots =
       match sup with
       | Some _ -> Array.init (Int.max 1 domains) (fun _ -> make_slot ())
@@ -727,7 +717,7 @@ let for_all ?(backend = Serial) ~seed ~f payloads =
   if njobs = 0 then true
   else begin
     let sup = Atomic.get supervision_hook in
-    let domains = Int.min (domains_of_backend backend) njobs in
+    let domains = Int.min (jobs_of_backend backend) njobs in
     let slots =
       match sup with
       | Some _ -> Array.init (Int.max 1 domains) (fun _ -> make_slot ())

@@ -30,15 +30,6 @@ type backend =
   | Parallel of int
       (** [Parallel n]: a pool of [n] domains (the caller participates);
           [Parallel 1] behaves like [Serial] *)
-  | Processes of int
-      (** [Processes n]: the campaign is sharded across [n] worker
-          {e subprocesses}, each with its own GC — the escape hatch from
-          OCaml 5's stop-the-world shared minor collector.  The fan-out
-          itself happens a layer above this module ({!Procs}, driven by
-          the CLI, which knows the command line to self-exec with
-          [--shard k/n]); inside [Exec] this backend executes on a
-          single domain, which is exactly what a worker child and the
-          parent's final replay-from-shard-caches pass need. *)
 
 val serial : backend
 
@@ -54,8 +45,7 @@ val backend_of_jobs : int -> backend
     [n] silently clamped to {!max_jobs}. *)
 
 val jobs_of_backend : backend -> int
-(** The advertised parallel width ([n] for both [Parallel n] and
-    [Processes n], 1 for [Serial]). *)
+(** The domain count: [n] for [Parallel n], 1 for [Serial]. *)
 
 val default_jobs : unit -> int
 (** The [GPUWMM_JOBS] environment variable if set to an integer (clamped

@@ -158,27 +158,14 @@ let of_json j =
 (* A concurrent reader never sees half a record except after a crash
    mid-write, and a respawned worker's first beat never glues onto its
    predecessor's torn last line. *)
-let append ~path r = Runlog.append_line ~path (Json.to_string (to_json r))
+let append ~path r = Journal.append_line ~path (Json.to_string (to_json r))
 
-(* Every parseable record of a stream, oldest first.  Torn or foreign
-   lines are skipped, mirroring the ledger reader's crash tolerance. *)
 let load path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-    let acc = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then
-           match Json.of_string line with
-           | Error _ -> ()
-           | Ok j -> (
-             match of_json j with Ok r -> acc := r :: !acc | Error _ -> ())
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
+  (* Lenient on purpose, unlike the ledger and the queue journal: a
+     retried worker appends after its killed predecessor's torn
+     fragment, so an undecodable line mid-stream is legal here. *)
+  Journal.load_lenient path ~decode:(fun line ->
+      Result.bind (Json.of_string line) of_json)
 
 let latest path =
   match load path with [] -> None | l -> Some (List.nth l (List.length l - 1))

@@ -70,13 +70,15 @@ val of_json : Json.t -> (record, string) result
     [eta_s], [respawns]) are omitted at their defaults. *)
 
 val append : path:string -> record -> unit
-(** Append one record to the stream with {!Runlog.append_line}: one
+(** Append one record to the stream with {!Journal.append_line}: one
     line, one write, never glued onto a torn fragment — a respawned
     worker appends to its crashed predecessor's stream. *)
 
 val load : string -> record list
-(** Every parseable record, oldest first.  A missing file is an empty
-    stream; torn or foreign lines are skipped. *)
+(** Every parseable record, oldest first, by {!Journal.load_lenient}.
+    A missing file is an empty stream.  Torn or foreign lines are
+    skipped anywhere, not just at the end: a respawned worker appends
+    after its killed predecessor's fragment. *)
 
 val latest : string -> record option
 (** The newest parseable record of a stream. *)

@@ -43,11 +43,7 @@ type src = {
 }
 
 let load_shard path =
-  let* l =
-    match Runlog.load path with
-    | Ok l -> Ok l
-    | Error e -> err "%s: %s" path e
-  in
+  let* l = Runlog.load path in
   let* spec =
     match l.Runlog.header.Runlog.shard with
     | Some s -> Ok s

@@ -400,8 +400,7 @@ let merged_cache paths =
         | Ok l -> Some l
         | Error e ->
           Exec.info
-            (Printf.sprintf "shard ledger %s unreadable (%s); its jobs re-run"
-               p e);
+            (Printf.sprintf "shard ledger unreadable (%s); its jobs re-run" e);
           None)
       paths
   in

@@ -151,84 +151,14 @@ let event_of_json j =
   | k -> Error (Printf.sprintf "unknown queue event %S" k)
 
 (* ------------------------------------------------------------------ *)
-(* Journal I/O — one open-append-write-close per event
-   ({!Runlog.append_line}): each event lands in a single write, and a
-   crash leaves at worst one torn final line.                           *)
+(* Journal I/O: the {!Journal} rules, one event per line.               *)
 
 let append ~path ev =
-  Runlog.append_line ~path (Json.to_string (event_to_json ev))
+  Journal.append_line ~path (Json.to_string (event_to_json ev))
 
 let load path =
-  match open_in path with
-  | exception Sys_error _ -> Ok ([], false)
-  | ic ->
-    let lines = ref [] in
-    (try
-       while true do
-         let l = input_line ic in
-         if String.trim l <> "" then lines := l :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let lines = Array.of_list (List.rev !lines) in
-    let n = Array.length lines in
-    let rec go i acc =
-      if i >= n then Ok (List.rev acc, false)
-      else
-        match Json.of_string lines.(i) with
-        | Error e ->
-          if i = n - 1 then
-            (* Killed mid-write: the torn tail is dropped, everything
-               durably flushed before it survives. *)
-            Ok (List.rev acc, true)
-          else Error (Printf.sprintf "%s: line %d: %s" path (i + 1) e)
-        | Ok j -> (
-          match event_of_json j with
-          | Ok ev -> go (i + 1) (ev :: acc)
-          | Error e ->
-            if i = n - 1 then Ok (List.rev acc, true)
-            else Error (Printf.sprintf "%s: line %d: %s" path (i + 1) e))
-    in
-    go 0 []
-
-(* When [load] reports a torn tail it only drops the fragment *in
-   memory*; the bytes stay on disk.  If the daemon then appends, the
-   fragment becomes a malformed mid-file line and the next restart
-   fails closed.  [repair] truncates the journal to the newline after
-   the last valid event (adding the newline if the last valid line was
-   itself cut short of its '\n') so appends always start clean. *)
-let repair path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    let size = in_channel_length ic in
-    let good_end = ref 0 and newline_terminated = ref true in
-    (try
-       while true do
-         let start = pos_in ic in
-         let l = input_line ic in
-         let fin = pos_in ic in
-         if String.trim l <> "" then
-           match Json.of_string l with
-           | Ok j when Result.is_ok (event_of_json j) ->
-             let had_nl = fin > start + String.length l in
-             good_end := (if had_nl then start + String.length l + 1 else fin);
-             newline_terminated := had_nl
-           | Ok _ | Error _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    if !good_end < size || not !newline_terminated then begin
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.ftruncate fd !good_end;
-          if not !newline_terminated then begin
-            ignore (Unix.lseek fd 0 Unix.SEEK_END);
-            ignore (Unix.write_substring fd "\n" 0 1)
-          end)
-    end
+  Journal.load path ~decode:(fun line ->
+      Result.bind (Json.of_string line) event_of_json)
 
 (* ------------------------------------------------------------------ *)
 (* The lease state machine                                              *)

@@ -1,12 +1,12 @@
 (** The durable campaign job queue behind [gpuwmm serve].
 
     The daemon's only persistent state is an append-only JSONL journal
-    of {!event}s, written with the same discipline as the run ledger
-    ({!Runlog}): one line per event, one write per line, torn tails
-    dropped on load.  Replaying the journal rebuilds the full queue
-    {!state} — which campaigns were submitted, which shard work units
-    are pending, leased, done or quarantined — so a daemon killed at
-    any point restarts into exactly the state it had durably reached.
+    of {!event}s under the {!Journal} rules shared with the run ledger:
+    one line per event, one write per line, torn tails dropped on load.
+    Replaying the journal rebuilds the full queue {!state} — which
+    campaigns were submitted, which shard work units are pending,
+    leased, done or quarantined — so a daemon killed at any point
+    restarts into exactly the state it had durably reached.
 
     The module is deliberately pure apart from {!append}/{!load}: the
     state machine ({!apply}, {!replay}, {!next_lease}) does no I/O and
@@ -62,21 +62,16 @@ val event_of_json : Json.t -> (event, string) result
 (** Exact inverse of {!event_to_json} (qcheck round-trip tested). *)
 
 val append : path:string -> event -> unit
-(** Append one event to the journal with {!Runlog.append_line}: one
+(** Append one event to the journal with {!Journal.append_line}: one
     line, one write, never glued onto a torn fragment. *)
 
-val load : string -> (event list * bool, string) result
-(** Parse a journal, oldest first.  A missing file is an empty journal.
-    The flag is [true] when a trailing torn line was dropped (the
-    daemon died mid-write); a malformed line anywhere {e else} is an
-    error — same contract as {!Runlog.parse}. *)
-
-val repair : string -> unit
-(** Truncate the journal to the end of its last valid event line.
-    Call when {!load} reported a torn tail, before appending: [load]
-    only drops the fragment in memory, and leaving it on disk would
-    turn it into a fatal mid-file malformed line once new events are
-    appended after it.  A missing file is a no-op. *)
+val load : string -> (event Journal.t, string) result
+(** Read a journal under the {!Journal} rules, oldest first: a missing
+    file is an empty journal, a torn final line is dropped and flagged,
+    and a malformed line anywhere else is an error naming the path and
+    the physical line.  Unlike a ledger, the journal is appended to
+    across restarts, so a caller that found a torn tail must
+    {!Journal.repair} it before its next append. *)
 
 (** {1 The lease state machine} *)
 

@@ -360,91 +360,59 @@ let abort t =
 (* ------------------------------------------------------------------ *)
 (* Loading                                                              *)
 
+type entry =
+  | Header of header
+  | Job of job
+  | Result of string * Json.t
+  | Footer of footer
+
+let entry_of_line line =
+  let* j = Json.of_string line in
+  match Json.member "rec" j with
+  | Some (Json.String "header") ->
+    let* h = header_of_json j in
+    Ok (Header h)
+  | Some (Json.String "job") ->
+    let* job = job_of_json j in
+    Ok (Job job)
+  | Some (Json.String "result") ->
+    let* kind = str "kind" j in
+    let* data = field "data" j in
+    Ok (Result (kind, data))
+  | Some (Json.String "footer") ->
+    let* f = footer_of_json j in
+    Ok (Footer f)
+  | _ -> Error "unknown record type"
+
+(* The line-level rules (torn tail, fail-closed middle, physical line
+   numbers) are Journal's; a ledger adds only that its first record is
+   its one header. *)
+let of_journal ~name (jn : entry Journal.t) =
+  let fail msg = Error (name ^ ": " ^ msg) in
+  match jn.records with
+  | [] -> fail (if jn.torn then "torn header record" else "empty ledger")
+  | Header header :: rest ->
+    let rec go jobs result footer = function
+      | [] ->
+        Ok { header; jobs = List.rev jobs; result; footer; torn = jn.torn }
+      | Header _ :: _ -> fail "more than one header record"
+      | Job job :: tl -> go (job :: jobs) result footer tl
+      | Result (kind, data) :: tl -> go jobs (Some (kind, data)) footer tl
+      | Footer f :: tl -> go jobs result (Some f) tl
+    in
+    go [] None None rest
+  | _ -> fail "first ledger record is not a header"
+
 let parse text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty ledger"
-  | first :: rest ->
-    let* hj = Json.of_string first in
-    let* header =
-      match Json.member "rec" hj with
-      | Some (Json.String "header") -> header_of_json hj
-      | _ -> Error "first ledger line is not a header record"
-    in
-    let n = List.length rest in
-    let rec go i jobs result footer = function
-      | [] -> Ok { header; jobs = List.rev jobs; result; footer; torn = false }
-      | line :: tl -> (
-        let parsed =
-          let* j = Json.of_string line in
-          match Json.member "rec" j with
-          | Some (Json.String "job") ->
-            let* job = job_of_json j in
-            Ok (`Job job)
-          | Some (Json.String "result") ->
-            let* kind = str "kind" j in
-            let* data = field "data" j in
-            Ok (`Result (kind, data))
-          | Some (Json.String "footer") ->
-            let* f = footer_of_json j in
-            Ok (`Footer f)
-          | _ -> Error "unknown record type"
-        in
-        match parsed with
-        | Ok (`Job job) -> go (i + 1) (job :: jobs) result footer tl
-        | Ok (`Result r) -> go (i + 1) jobs (Some r) footer tl
-        | Ok (`Footer f) -> go (i + 1) jobs result (Some f) tl
-        | Error e ->
-          if i = n - 1 then
-            (* The last line is allowed to be torn: a kill can land
-               mid-write.  Everything before it must be intact. *)
-            Ok { header; jobs = List.rev jobs; result; footer; torn = true }
-          else Error (Printf.sprintf "ledger line %d: %s" (i + 2) e))
-    in
-    go 0 [] None None rest
+  let name = "<ledger>" in
+  let* jn = Journal.read ~name ~decode:entry_of_line text in
+  of_journal ~name jn
 
-let load file =
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> parse text
-
-(* One open-append-write-close per line, shared by the append-only
-   JSONL streams (the serve journal, heartbeat sidecars): the line lands
-   in a single write, so a crash tears at most the final line.  A crash
-   can also leave the file without a trailing newline (a torn fragment,
-   or a full line cut just before its '\n'); the new line then leads
-   with one, so it starts fresh instead of gluing onto the fragment —
-   a glued line would be lost to the reader, or fail a strict reader's
-   mid-file check and wedge the stream. *)
-let append_line ~path line =
-  let fd =
-    Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let needs_nl =
-        (Unix.fstat fd).Unix.st_size > 0
-        && begin
-             ignore (Unix.lseek fd (-1) Unix.SEEK_END);
-             let b = Bytes.create 1 in
-             Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n'
-           end
-      in
-      let line = (if needs_nl then "\n" else "") ^ line ^ "\n" in
-      let n = String.length line in
-      let rec w off =
-        if off < n then w (off + Unix.write_substring fd line off (n - off))
-      in
-      w 0)
+let load path =
+  if not (Sys.file_exists path) then Error (path ^ ": no such ledger")
+  else
+    let* jn = Journal.load ~decode:entry_of_line path in
+    of_journal ~name:path jn
 
 (* ------------------------------------------------------------------ *)
 (* Resumption                                                           *)

@@ -146,20 +146,23 @@ val abort : t -> unit
 
 (** {1 Loading and resumption} *)
 
+type entry =
+  | Header of header
+  | Job of job
+  | Result of string * Json.t  (** (kind, data) *)
+  | Footer of footer  (** one ledger line, typed by its ["rec"] field *)
+
+val entry_of_line : string -> (entry, string) result
+(** The ledger's line codec, as {!Journal} reads it. *)
+
 val parse : string -> (ledger, string) result
-(** Parse ledger text.  The first line must be a header.  A final line
-    that fails to parse is dropped and flagged [torn] (the process was
-    killed mid-write); a malformed line anywhere else is an error. *)
+(** Parse ledger text under the {!Journal} rules (a torn final line is
+    dropped and flagged [torn]; a malformed line anywhere else is an
+    error naming its physical line).  The first record must be the
+    ledger's only header.  Errors are prefixed with [<ledger>]. *)
 
 val load : string -> (ledger, string) result
-(** {!parse} the file at a path. *)
-
-val append_line : path:string -> string -> unit
-(** Append [line] plus ['\n'] to the file in one write, creating it if
-    needed — the append discipline of every JSONL stream ({!Queue}
-    journal, {!Heartbeat} sidecars).  If a crash left the file without
-    a trailing newline, a leading ['\n'] is written first so the line
-    never glues onto a torn fragment.  Raises [Unix.Unix_error]. *)
+(** {!parse} the file at a path; every error names the path. *)
 
 type cache
 (** Completed job records keyed by (phase, index). *)

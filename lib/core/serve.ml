@@ -236,14 +236,14 @@ let run cfg =
        attention, not a silent fresh queue that forgets submissions. *)
     prerr_endline ("gpuwmm serve: corrupt queue journal: " ^ e);
     1
-  | Ok (events, torn) ->
-    if torn then begin
+  | Ok loaded ->
+    if loaded.Journal.torn then begin
       (* The fragment must come off disk before the first append, or it
          becomes a fatal mid-file malformed line on the next restart. *)
-      Queue.repair journal;
+      Journal.repair journal loaded;
       log "dropped a torn trailing journal line (crash mid-write)"
     end;
-    let st = ref (Queue.replay events) in
+    let st = ref (Queue.replay loaded.Journal.records) in
     let mu = Mutex.create () in
     let locked f =
       Mutex.lock mu;

@@ -80,13 +80,6 @@ let calls path =
     in
     go []
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 let terminal =
   Array.for_all (function
     | Core.Queue.Done _ | Core.Queue.Quarantined _ -> true
@@ -179,11 +172,11 @@ let test_crash_requeued_then_resumed () =
           match calls path with
           | [ first; second ] ->
             Alcotest.(check bool) "first attempt starts fresh" false
-              (contains first "--resume");
+              (Test_util.contains first "--resume");
             Alcotest.(check bool) "respawn resumes its validated ledger" true
-              (contains second ("--resume " ^ path));
+              (Test_util.contains second ("--resume " ^ path));
             Alcotest.(check bool) "respawn count in the environment" true
-              (contains second "respawn=1 ")
+              (Test_util.contains second "respawn=1 ")
           | l -> Alcotest.failf "shard %d: %d invocations" k (List.length l))
         paths)
 
@@ -198,7 +191,7 @@ let test_unvalidated_ledger_not_resumed () =
       match calls (List.hd paths) with
       | [ _; second ] ->
         Alcotest.(check bool) "a foreign ledger means a fresh start" false
-          (contains second "--resume")
+          (Test_util.contains second "--resume")
       | l -> Alcotest.failf "%d invocations" (List.length l))
 
 let test_exit_3_degraded () =
@@ -267,7 +260,7 @@ let test_first_attempt_never_adopts () =
         [| Core.Queue.Quarantined { reason = "" } |] shards;
       Alcotest.(check bool) "every attempt spawned fresh" true
         (List.for_all
-           (fun c -> not (contains c "--resume"))
+           (fun c -> not (Test_util.contains c "--resume"))
            (calls (List.hd paths))))
 
 let () =

@@ -145,11 +145,26 @@ let test_malformed_middle_rejected () =
     String.concat "\n"
       (List.mapi (fun i l -> if i = 1 then "not json" else l) ls)
   in
-  match Core.Runlog.parse text with
+  (match Core.Runlog.parse text with
   | Error e ->
     Alcotest.(check bool) "error names the line" true
       (Test_util.contains e "line")
-  | Ok _ -> Alcotest.fail "corrupt middle line must not parse"
+  | Ok _ -> Alcotest.fail "corrupt middle line must not parse");
+  (* Header, two blank lines, a corrupt line: the error names the
+     physical line (4), not the count of non-blank lines, and the
+     file. *)
+  let path = temp () in
+  write_all path
+    (String.concat "\n" (List.hd ls :: "" :: "" :: "not json" :: List.tl ls));
+  let loaded = Core.Runlog.load path in
+  Sys.remove path;
+  match loaded with
+  | Error e ->
+    Alcotest.(check bool) "error names the physical line" true
+      (Test_util.contains e "line 4");
+    Alcotest.(check bool) "error names the ledger" true
+      (Test_util.contains e path)
+  | Ok _ -> Alcotest.fail "corrupt line after blanks must not load"
 
 let test_seed_mismatch_fails_closed () =
   let full_text, _ = Lazy.force full in

@@ -95,13 +95,19 @@ let sample_events : Core.Queue.event list =
     Core.Queue.Shard_done { t = 3.0; id = "job-1"; shard = 1; degraded = false }
   ]
 
+(* A journal load as (events, torn). *)
+let load path =
+  Result.map
+    (fun (l : _ Core.Journal.t) -> (l.records, l.torn))
+    (Core.Queue.load path)
+
 let test_journal_round_trip () =
   with_journal (fun path ->
       Alcotest.(check bool) "missing journal is empty" true
-        (Core.Queue.load path = Ok ([], false));
+        (load path = Ok ([], false));
       List.iter (Core.Queue.append ~path) sample_events;
       Alcotest.(check bool) "events load, oldest first" true
-        (Core.Queue.load path = Ok (sample_events, false)))
+        (load path = Ok (sample_events, false)))
 
 let test_journal_torn_tail () =
   with_journal (fun path ->
@@ -111,7 +117,7 @@ let test_journal_torn_tail () =
       output_string oc "{\"ev\":\"lease\",\"t\":9";
       close_out oc;
       Alcotest.(check bool) "torn tail dropped, torn flag set" true
-        (Core.Queue.load path = Ok (sample_events, true)))
+        (load path = Ok (sample_events, true)))
 
 let test_journal_repair_after_torn () =
   with_journal (fun path ->
@@ -123,18 +129,21 @@ let test_journal_repair_after_torn () =
          repair takes the fragment off disk, and only then do appends
          resume.  Without the repair the first append would bury the
          fragment as a fatal mid-file line. *)
-      Alcotest.(check bool) "torn flagged on load" true
-        (Core.Queue.load path = Ok (sample_events, true));
-      Core.Queue.repair path;
+      (match Core.Queue.load path with
+      | Ok loaded ->
+        Alcotest.(check bool) "torn flagged on load" true
+          (loaded.records = sample_events && loaded.torn);
+        Core.Journal.repair path loaded
+      | Error e -> Alcotest.fail e);
       Alcotest.(check bool) "repair drops the fragment on disk" true
-        (Core.Queue.load path = Ok (sample_events, false));
+        (load path = Ok (sample_events, false));
       let extra =
         Core.Queue.Finished
           { t = 4.0; id = "job-1"; status = "done"; ledger = None }
       in
       Core.Queue.append ~path extra;
       Alcotest.(check bool) "append after repair reloads cleanly" true
-        (Core.Queue.load path = Ok (sample_events @ [ extra ], false)))
+        (load path = Ok (sample_events @ [ extra ], false)))
 
 let test_journal_append_no_trailing_newline () =
   with_journal (fun path ->
@@ -146,19 +155,14 @@ let test_journal_append_no_trailing_newline () =
       Unix.ftruncate fd ((Unix.fstat fd).Unix.st_size - 1);
       Unix.close fd;
       Alcotest.(check bool) "newline-less valid tail still loads" true
-        (Core.Queue.load path = Ok (sample_events, false));
+        (load path = Ok (sample_events, false));
       let extra =
         Core.Queue.Finished
           { t = 4.0; id = "job-1"; status = "done"; ledger = None }
       in
       Core.Queue.append ~path extra;
       Alcotest.(check bool) "append starts a fresh line" true
-        (Core.Queue.load path = Ok (sample_events @ [ extra ], false)))
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+        (load path = Ok (sample_events @ [ extra ], false)))
 
 let test_journal_rejects_corrupt_middle () =
   with_journal (fun path ->
@@ -167,11 +171,27 @@ let test_journal_rejects_corrupt_middle () =
       output_string oc "not json at all\n";
       close_out oc;
       Core.Queue.append ~path (List.nth sample_events 1);
-      match Core.Queue.load path with
+      (match Core.Queue.load path with
       | Error e ->
         Alcotest.(check bool) "error names the journal line" true
-          (contains ~sub:"line 2" e)
-      | Ok _ -> Alcotest.fail "corrupt middle line must fail closed")
+          (Test_util.contains e "line 2")
+      | Ok _ -> Alcotest.fail "corrupt middle line must fail closed");
+      (* Two blank lines before the corrupt one: the error names the
+         physical line (4), not the count of non-blank lines, and the
+         file. *)
+      Sys.remove path;
+      Core.Queue.append ~path (List.hd sample_events);
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "\n\nnot json at all\n";
+      close_out oc;
+      Core.Queue.append ~path (List.nth sample_events 1);
+      match Core.Queue.load path with
+      | Error e ->
+        Alcotest.(check bool) "error names the physical line" true
+          (Test_util.contains e "line 4");
+        Alcotest.(check bool) "error names the journal" true
+          (Test_util.contains e path)
+      | Ok _ -> Alcotest.fail "corrupt line after blanks must fail closed")
 
 (* ------------------------------------------------------------------ *)
 (* The lease state machine                                              *)
