@@ -2488,11 +2488,13 @@ let submit_cmd =
       chip.Gpusim.Chip.name env_name runs workers;
     if wait then begin
       (* A restarting daemon replays its journal, so the id reappears
-         within a few polls; an id that stays missing means the daemon
-         lost the queue (restarted with a different --dir, journal
-         deleted) and waiting forever would never resolve. *)
-      let max_misses = 20 in
-      let rec poll misses =
+         within seconds; an id that stays missing for 10 s means the
+         daemon lost the queue (restarted with a different --dir,
+         journal deleted) and waiting forever would never resolve.
+         Polls start 20 ms apart, so a short campaign is seen finished
+         promptly, and back off to 0.5 s. *)
+      let give_up_s = 10.0 in
+      let rec poll ~pause ~missing_since =
         let _, body = fetch_or_die ~addr ~port "/jobs" in
         let job =
           match Core.Json.of_string body with
@@ -2506,18 +2508,23 @@ let submit_cmd =
                       = Some id))
             |> Option.join
         in
+        let next ~missing_since =
+          Unix.sleepf pause;
+          poll ~pause:(Float.min 0.5 (2.0 *. pause)) ~missing_since
+        in
         match job with
         | None ->
-          if misses + 1 >= max_misses then begin
+          let now = Unix.gettimeofday () in
+          let since = Option.value missing_since ~default:now in
+          if now -. since >= give_up_s then begin
             Fmt.epr
-              "%s missing from the daemon's queue after %d consecutive \
-               polls; the daemon may have restarted with a different \
-               --dir or lost its journal@."
-              id max_misses;
+              "%s missing from the daemon's queue for %.0f s; the daemon \
+               may have restarted with a different --dir or lost its \
+               journal@."
+              id give_up_s;
             exit 1
           end;
-          Unix.sleepf 0.5;
-          poll (misses + 1)
+          next ~missing_since:(Some since)
         | Some item -> (
           let jstr k =
             Option.bind (Core.Json.member k item) Core.Json.to_str
@@ -2531,11 +2538,9 @@ let submit_cmd =
             if st = "done" then exit 0
             else if st = "degraded" then exit exit_degraded
             else exit exit_failed
-          | _ ->
-            Unix.sleepf 0.5;
-            poll 0)
+          | _ -> next ~missing_since:None)
       in
-      poll 0
+      poll ~pause:0.02 ~missing_since:None
     end
   in
   Cmd.v

@@ -197,6 +197,8 @@ let liveness_name = function
 
 type emitter = {
   e_stop : bool Atomic.t;
+  e_wake_r : Unix.file_descr;  (* close-on-exec pipe: [stop] wakes the *)
+  e_wake_w : Unix.file_descr;  (* beat domain through it *)
   e_domain : unit Domain.t;
 }
 
@@ -262,6 +264,7 @@ let sample ~det ~shard ~interval_s ~seq ~final ~prev_counters () =
 let start ?(interval_s = interval ()) ?shard ~path () =
   let det = Runlog.deterministic_mode () in
   let stop = Atomic.make false in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let dom =
     Domain.spawn (fun () ->
         (* Signal handlers run on whichever domain the runtime picks; a
@@ -291,16 +294,20 @@ let start ?(interval_s = interval ()) ?shard ~path () =
         let announced = ref (Exec.progress () <> None) in
         let rec loop () =
           if not (Atomic.get stop) then begin
-            (* Sleep in short slices so stop is honoured promptly and the
-               final beat lands before the process exits. *)
+            (* Block until the next beat is due or [stop] writes to the
+               wake pipe, so the final beat lands the moment the process
+               winds down.  Until the plan appears, look for it every
+               20 ms. *)
             let deadline = Unix.gettimeofday () +. interval_s in
             let announce = ref false in
-            while
-              (not (Atomic.get stop))
-              && (not !announce)
-              && Unix.gettimeofday () < deadline
+            let left () = deadline -. Unix.gettimeofday () in
+            while (not (Atomic.get stop)) && (not !announce) && left () > 0.0
             do
-              Unix.sleepf 0.02;
+              let slice =
+                if !announced then left () else Float.min 0.02 (left ())
+              in
+              (try ignore (Unix.select [ wake_r ] [] [] (Float.max 0.0 slice))
+               with Unix.Unix_error _ -> ());
               if (not !announced) && Exec.progress () <> None then begin
                 announced := true;
                 announce := true
@@ -320,8 +327,15 @@ let start ?(interval_s = interval ()) ?shard ~path () =
              seq-monotonic and the last interval's deltas are honest. *)
           try beat ~final:true with _ -> ()))
   in
-  { e_stop = stop; e_domain = dom }
+  { e_stop = stop; e_wake_r = wake_r; e_wake_w = wake_w; e_domain = dom }
 
 let stop e =
   Atomic.set e.e_stop true;
-  Domain.join e.e_domain
+  (try ignore (Unix.single_write e.e_wake_w (Bytes.make 1 's') 0 1)
+   with Unix.Unix_error _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ e.e_wake_r; e.e_wake_w ])
+    (fun () -> Domain.join e.e_domain)

@@ -136,6 +136,12 @@ let shard_outcome plan ~n ~k ~path =
 (* ------------------------------------------------------------------ *)
 (* The supervisor                                                       *)
 
+(* A leased worker: its pid and the read end of its exit pipe.  The
+   worker holds the only write end, so the read end hits EOF when the
+   worker exits; [exited] records that EOF (and that [exit_r] is
+   closed). *)
+type child = { pid : int; exit_r : Unix.file_descr; mutable exited : bool }
+
 type t = {
   max_workers : int;
   lease_s : float;
@@ -145,17 +151,47 @@ type t = {
   state : unit -> Queue.state;
   emit : Queue.event -> unit;
   log : string -> unit;
-  children : (string * int, int) Hashtbl.t;
-      (* pid per (job id, shard) lease owned by THIS process; journal
+  children : (string * int, child) Hashtbl.t;
+      (* the lease per (job id, shard) owned by THIS process; journal
          pids from a previous daemon life are not ours to waitpid *)
+  poke_r : Unix.file_descr;  (* self-pipe behind [poke]; close-on-exec *)
+  poke_w : Unix.file_descr;
 }
 
 let supervisor ?(lease_s = infinity) ?(log = ignore) ~max_workers
     ~backoff_base_s ~plan_of ~path_of ~state ~emit () =
+  let poke_r, poke_w = Unix.pipe ~cloexec:true () in
+  (* Non-blocking both ways: a burst of pokes must never block the
+     poker on a full pipe, nor [wait]'s read an emptied one. *)
+  Unix.set_nonblock poke_r;
+  Unix.set_nonblock poke_w;
   { max_workers; lease_s; backoff_base_s; plan_of; path_of; state; emit; log;
-    children = Hashtbl.create 16 }
+    children = Hashtbl.create 16; poke_r; poke_w }
 
-let pids t = Hashtbl.fold (fun _ pid acc -> pid :: acc) t.children []
+let pids t = Hashtbl.fold (fun _ c acc -> c.pid :: acc) t.children []
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let forget t key =
+  (match Hashtbl.find_opt t.children key with
+  | Some c when not c.exited -> close_quietly c.exit_r
+  | _ -> ());
+  Hashtbl.remove t.children key
+
+(* [waitpid WNOHANG] for a child.  Its exit pipe reaches EOF when the
+   worker closes its files, a few microseconds before the kernel makes
+   it reapable, so after the EOF a not-yet-reapable child is retried
+   for up to 0.1 s instead of left to the next ceiling tick. *)
+let reap c =
+  let rec go tries =
+    match Unix.waitpid [ Unix.WNOHANG ] c.pid with
+    | 0, _ when c.exited && tries > 0 ->
+      Unix.sleepf 0.001;
+      go (tries - 1)
+    | 0, _ -> None
+    | _, status -> Some status
+  in
+  go 100
 
 let outcome t (spec : Queue.spec) k =
   shard_outcome (t.plan_of spec) ~n:spec.workers ~k ~path:(t.path_of spec k)
@@ -183,7 +219,7 @@ let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
   end
 
 let settle_exit t ~now (spec : Queue.spec) k ~attempt status =
-  Hashtbl.remove t.children (spec.id, k);
+  forget t (spec.id, k);
   match status with
   | Unix.WEXITED 0 -> (
     (* Trust but verify: exit 0 with an incomplete ledger (disk full,
@@ -205,7 +241,7 @@ let settle_exit t ~now (spec : Queue.spec) k ~attempt status =
 let kill_lease t ~now (spec : Queue.spec) k ~pid ~attempt ~reason =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-  Hashtbl.remove t.children (spec.id, k);
+  forget t (spec.id, k);
   fail_shard t ~now spec k ~attempt ~reason
 
 let spawn_lease t ~now (job : Queue.job) k =
@@ -235,16 +271,23 @@ let spawn_lease t ~now (job : Queue.job) k =
       Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" (attempt - 1) |]
     else env
   in
+  (* The exit pipe: close-on-exec except for the write end, which only
+     this worker inherits — the parent closes its copy right after the
+     spawn, before any other lease's spawn can inherit it. *)
+  let exit_r, exit_w = Unix.pipe ~cloexec:true () in
+  Unix.clear_close_on_exec exit_w;
   match
     let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
     Fun.protect
-      ~finally:(fun () -> Unix.close devnull)
+      ~finally:(fun () ->
+        Unix.close devnull;
+        Unix.close exit_w)
       (fun () ->
         Unix.create_process_env (List.hd argv) (Array.of_list argv) env
           devnull devnull devnull)
   with
   | pid ->
-    Hashtbl.replace t.children (spec.id, k) pid;
+    Hashtbl.replace t.children (spec.id, k) { pid; exit_r; exited = false };
     t.log
       (Printf.sprintf "job %s shard %d/%d leased to pid %d (attempt %d/%d)"
          spec.id k spec.workers pid attempt spec.max_attempts);
@@ -253,6 +296,7 @@ let spawn_lease t ~now (job : Queue.job) k =
          { t = now; id = spec.id; shard = k; pid; attempt;
            deadline = now +. t.lease_s })
   | exception Unix.Unix_error (e, _, _) ->
+    Unix.close exit_r;
     fail_shard t ~now spec k ~attempt
       ~reason:("spawn failed: " ^ Unix.error_message e)
 
@@ -260,18 +304,18 @@ let tick t =
   let now = Unix.gettimeofday () in
   (* 1. Reap exited workers. *)
   Hashtbl.iter
-    (fun (id, k) pid ->
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ -> ()
-      | _, status -> (
+    (fun (id, k) c ->
+      match reap c with
+      | None -> ()
+      | Some status -> (
         match Queue.find (t.state ()) id with
         | Some job -> (
           match Queue.shard_get job k with
           | Some (Queue.Leased { attempt; _ }) ->
             settle_exit t ~now job.spec k ~attempt status
-          | _ -> Hashtbl.remove t.children (id, k))
-        | None -> Hashtbl.remove t.children (id, k))
-      | exception Unix.Unix_error _ -> Hashtbl.remove t.children (id, k))
+          | _ -> forget t (id, k))
+        | None -> forget t (id, k))
+      | exception Unix.Unix_error _ -> forget t (id, k))
     (Hashtbl.copy t.children);
   (* 2. Enforce lease deadlines and heartbeat liveness. *)
   List.iter
@@ -325,6 +369,104 @@ let tick t =
   in
   assign ()
 
+(* ------------------------------------------------------------------ *)
+(* Waiting for the next event                                           *)
+
+(* The longest [wait] blocks by default: the cadence of the checks that
+   no descriptor announces — lease deadlines, heartbeat liveness and
+   requeued shards' backoff gates. *)
+let ceiling_s = 0.1
+
+(* Nothing for the ceiling to pace: no live worker and no shard of an
+   open job short of Done or Quarantined.  Only a poke (a submission)
+   or a signal can make work then.  [state] may be read racily from
+   here (the daemon's HTTP domain submits under its own lock); a stale
+   read misses only a submission whose poke is already on its way. *)
+let idle t =
+  Hashtbl.length t.children = 0
+  && List.for_all
+       (fun (j : Queue.job) ->
+         j.finished <> None
+         || Array.for_all
+              (function
+                | Queue.Done _ | Queue.Quarantined _ -> true
+                | Queue.Pending _ | Queue.Leased _ -> false)
+              j.shards)
+       (t.state ()).Queue.jobs
+
+let wait ?timeout t =
+  let timeout =
+    match timeout with
+    | Some s -> Float.max 0.0 s
+    | None -> if idle t then -1.0 (* no timeout *) else ceiling_s
+  in
+  let live =
+    Hashtbl.fold
+      (fun _ c acc -> if c.exited then acc else c :: acc)
+      t.children []
+  in
+  let fds = t.poke_r :: List.map (fun c -> c.exit_r) live in
+  match Unix.select fds [] [] timeout with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error _ ->
+    (* A descriptor past FD_SETSIZE: degrade to a plain sleep. *)
+    Unix.sleepf (if timeout < 0.0 then ceiling_s else timeout)
+  | ready, _, _ ->
+    let buf = Bytes.create 64 in
+    List.iter
+      (fun fd ->
+        let n =
+          try Unix.read fd buf 0 (Bytes.length buf)
+          with Unix.Unix_error _ -> 0
+        in
+        match List.find_opt (fun c -> c.exit_r = fd) live with
+        | Some c when n = 0 ->
+          c.exited <- true;
+          close_quietly fd
+        | _ ->
+          (* Poke bytes, or bytes a worker wrote to its inherited
+             descriptor: only EOF means a worker exited. *)
+          ())
+      ready
+
+let poke t =
+  try ignore (Unix.single_write t.poke_w (Bytes.make 1 'p') 0 1)
+  with Unix.Unix_error _ -> ()  (* EAGAIN: a wake-up is already pending *)
+
+let forget_all t =
+  Hashtbl.iter
+    (fun _ c -> if not c.exited then close_quietly c.exit_r)
+    t.children;
+  Hashtbl.reset t.children
+
+(* The poke pipe outlives [stop]: a signal handler may still poke. *)
+let stop ?(grace_s = 5.0) t =
+  List.iter
+    (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+    (pids t);
+  let deadline = Unix.gettimeofday () +. grace_s in
+  let rec drain () =
+    Hashtbl.iter
+      (fun key c ->
+        match reap c with
+        | None -> ()
+        | Some _ | (exception Unix.Unix_error _) -> forget t key)
+      (Hashtbl.copy t.children);
+    let left = deadline -. Unix.gettimeofday () in
+    if Hashtbl.length t.children > 0 && left > 0.0 then begin
+      wait ~timeout:(Float.min ceiling_s left) t;
+      drain ()
+    end
+  in
+  drain ();
+  (* Force the stragglers. *)
+  List.iter
+    (fun pid ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    (pids t);
+  forget_all t
+
 let default_max_attempts = 3
 let default_backoff_base_s = 0.5
 
@@ -339,7 +481,8 @@ let cleanup paths =
     paths
 
 (* The one-job driver behind `-j N`: an in-memory queue with no journal
-   and no lease deadline, ticked until every shard settles. *)
+   and no lease deadline, ticked after every [wait] until every shard
+   settles. *)
 let run ~paths plan =
   (* A fresh campaign never adopts shard ledgers or heartbeats an
      earlier invocation left at these paths. *)
@@ -381,11 +524,26 @@ let run ~paths plan =
           now
         end
       in
-      Unix.sleepf 0.1;
+      wait t;
       loop last_line
     end
   in
-  loop 0.0
+  (* Nothing else can poke this supervisor, so its pipes go with it.
+     An interrupt leaves the workers to their own signal handlers, as
+     before. *)
+  let release () =
+    forget_all t;
+    close_quietly t.poke_r;
+    close_quietly t.poke_w
+  in
+  match loop 0.0 with
+  | shards ->
+    release ();
+    shards
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release ();
+    Printexc.raise_with_backtrace e bt
 
 (* Union resume cache over whatever shard ledgers made it to disk.  A
    shard that exhausted its attempts may be unreadable or half-written;

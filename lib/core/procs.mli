@@ -6,10 +6,11 @@
     domain pool does not scale for allocation-heavy simulation; worker
     {e subprocesses} (self-exec with [--shard k/N]) each get their own
     runtime.  The supervisor works over a {!Queue.state}: it spawns a
-    worker per leased shard, reaps it, kills lease-deadline overruns
-    and heartbeat-dead workers, recognises completion only from a
-    validated ledger, requeues failures with {!Queue.backoff_s} and
-    quarantines a shard that spends its attempt budget.  Every
+    worker per leased shard, reaps it when its exit wakes {!wait},
+    kills lease-deadline overruns and heartbeat-dead workers,
+    recognises completion only from a validated ledger, requeues
+    failures with {!Queue.backoff_s} and quarantines a shard that
+    spends its attempt budget.  Every
     transition goes through the caller's [emit]: the daemon journals
     then applies, the [-j N] driver ({!run}) only applies.
 
@@ -83,6 +84,26 @@ val tick : t -> unit
 val pids : t -> int list
 (** Workers this supervisor spawned and has not reaped yet. *)
 
+val wait : ?timeout:float -> t -> unit
+(** Block until a worker this supervisor leased exits, {!poke} is
+    called, a signal interrupts the wait, or [timeout] passes.  Each
+    worker is spawned holding the only write end of its own exit pipe,
+    which reaches EOF when it exits; nothing polls.  The default
+    timeout is the 0.1 s ceiling that paces lease deadlines, heartbeat
+    liveness and backoff gates, and none at all while there is nothing
+    for it to pace (no live worker, no open shard short of done or
+    quarantined).  Call {!tick} after it returns. *)
+
+val poke : t -> unit
+(** Wake a concurrent or the next {!wait}, e.g. after a submission.
+    Safe from any domain and from a signal handler, also after
+    {!stop}; never blocks. *)
+
+val stop : ?grace_s:float -> t -> unit
+(** Graceful shutdown: SIGTERM every live worker, reap them for up to
+    [grace_s] (default 5 s) woken by their exits, then SIGKILL and reap
+    the stragglers.  Records no events. *)
+
 val default_max_attempts : int
 (** [3]: the attempt budget of every [-j N] shard and the serve
     daemon's default per submission. *)
@@ -95,8 +116,9 @@ val run : paths:string list -> plan -> Queue.shard_state array
 (** Supervise one campaign sharded [List.length paths] ways, shard [k]
     writing the [k]-th path, over an in-memory queue (no journal, no
     lease deadline) with {!default_max_attempts} and
-    {!default_backoff_base_s}, until every shard is [Done] or
-    [Quarantined]; the result holds shard [k] at index [k-1].  Files an
+    {!default_backoff_base_s}, {!wait}ing between ticks until every
+    shard is [Done] or [Quarantined]; the result holds shard [k] at
+    index [k-1].  Files an
     earlier invocation left at [paths] (ledgers and sidecars, see
     {!cleanup}) are removed first, so a fresh campaign never adopts
     them.  Lease, retry and quarantine lines and a

@@ -10,7 +10,9 @@
      that spawns `gpuwmm test --shard k/N` workers, reaps them, kills
      deadline overruns and heartbeat-dead workers, requeues failures
      with capped backoff and quarantines repeat offenders — here with
-     a journaling [emit], so every transition is durable.
+     a journaling [emit], so every transition is durable.  Between
+     ticks the loop blocks in Procs.wait, which a worker's exit or a
+     submission's Procs.poke ends early.
 
    Crash tolerance is structural rather than defensive: the daemon
    never needs to shut down cleanly, because restart = journal replay
@@ -104,7 +106,10 @@ let parse_submission ~default_max_attempts body : (Queue.spec, string) result
       Error (Printf.sprintf "unsupported campaign kind %S (only \"test\")" kind)
     else if chip = "" then Error "missing required field chip"
     else if runs < 1 then Error "runs must be >= 1"
-    else if workers < 1 then Error "workers must be >= 1"
+    else if workers < 1 || workers > Shard.max_shards then
+      (* Beyond the bound every shard worker would refuse its
+         --shard k/N argv, only after the daemon spawned them all. *)
+      Error (Printf.sprintf "workers must be in 1..%d" Shard.max_shards)
     else if max_attempts < 1 then Error "max_attempts must be >= 1"
     else
       match Gpusim.Chip.by_name chip with
@@ -257,15 +262,6 @@ let run cfg =
       st := Queue.apply !st ev
     in
     let stopping = Atomic.make false in
-    let install_signals () =
-      List.iter
-        (fun s ->
-          try
-            Sys.set_signal s
-              (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
-          with Invalid_argument _ | Sys_error _ -> ())
-        [ Sys.sigterm; Sys.sigint ]
-    in
     (* --- restart reconciliation ---------------------------------- *)
     let reconcile () =
       let now = Unix.gettimeofday () in
@@ -406,6 +402,8 @@ let run cfg =
                 let spec = { spec with Queue.id } in
                 emit
                   (Queue.Submitted { t = Unix.gettimeofday (); spec });
+                (* Lease it now, not at the lease loop's next ceiling. *)
+                Procs.poke sup;
                 log "job %s submitted: %s %s runs=%d seed=%d workers=%d \
                      priority=%d"
                   id spec.Queue.chip spec.Queue.env spec.Queue.runs
@@ -480,7 +478,18 @@ let run cfg =
     match server with
     | None -> 1
     | Some server ->
-      install_signals ();
+      (* The poke wakes an idle lease loop, which otherwise blocks until
+         the next submission. *)
+      List.iter
+        (fun s ->
+          try
+            Sys.set_signal s
+              (Sys.Signal_handle
+                 (fun _ ->
+                   Atomic.set stopping true;
+                   Procs.poke sup))
+          with Invalid_argument _ | Sys_error _ -> ())
+        [ Sys.sigterm; Sys.sigint ];
       (* The banner is machine-read (CI parses the port out of it), so
          it prints even under --quiet. *)
       Printf.printf "gpuwmm serve: listening on http://%s:%d (state in %s)\n"
@@ -502,48 +511,18 @@ let run cfg =
         if
           (not (Atomic.get stopping))
           && not (cfg.until_idle && queue_drained ())
-        then Unix.sleepf 0.1
+        then Procs.wait sup
       done;
       (* Graceful stop: SIGTERM the workers so their own handlers flush
-         a resumable ledger prefix and a final heartbeat, give them a
-         moment, then force the stragglers.  No requeue events are
-         written — the next start's reconciliation revokes the leases,
-         which keeps "crash" and "orderly stop" on the same recovery
-         path. *)
+         a resumable ledger prefix and a final heartbeat, reap them as
+         they exit, then force the stragglers after 5 s.  No requeue
+         events are written — the next start's reconciliation revokes
+         the leases, which keeps "crash" and "orderly stop" on the same
+         recovery path. *)
       let workers = Procs.pids sup in
-      if workers <> [] then begin
+      if workers <> [] then
         log "stopping: signalling %d worker(s)" (List.length workers);
-        List.iter
-          (fun pid ->
-            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          workers;
-        let deadline = Unix.gettimeofday () +. 5.0 in
-        let rec wait pending =
-          if pending <> [] && Unix.gettimeofday () < deadline then begin
-            let still =
-              List.filter
-                (fun pid ->
-                  match Unix.waitpid [ Unix.WNOHANG ] pid with
-                  | 0, _ -> true
-                  | _ -> false
-                  | exception Unix.Unix_error _ -> false)
-                pending
-            in
-            if still <> [] then begin
-              Unix.sleepf 0.05;
-              wait still
-            end
-          end
-          else
-            List.iter
-              (fun pid ->
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                try ignore (Unix.waitpid [] pid)
-                with Unix.Unix_error _ -> ())
-              pending
-        in
-        wait workers
-      end;
+      Procs.stop sup;
       Httpd.stop server;
       if not cfg.until_idle then 0
       else

@@ -6,7 +6,8 @@
     identical to [gpuwmm test -j N]), and executes them under {e leases
     with deadlines}: every work unit is handed to a worker subprocess
     by {!Procs.tick} — the same supervisor [gpuwmm test -j N] runs, here
-    over the durable queue — and a worker that exits
+    over the durable queue, ticked whenever a worker exits, a campaign
+    is submitted or 0.1 s pass — and a worker that exits
     abnormally, overruns its lease deadline, or stops heartbeating
     ({!Heartbeat.classify} = [Dead]) has its shard requeued with capped
     exponential backoff ({!Queue.backoff_s}) and quarantined as failed
@@ -49,6 +50,13 @@ val default : config
 (** [dir "."], loopback, port [0], [Sys.executable_name], 2 workers,
     30 s leases, 0.5 s backoff base, 3 attempts, serve forever. *)
 
+val parse_submission :
+  default_max_attempts:int -> string -> (Queue.spec, string) result
+(** Validate a [POST /submit] JSON body into a spec with an empty id:
+    known chip, environment and application, [runs >= 1],
+    [1 <= workers <= ]{!Shard.max_shards}, [max_attempts >= 1].  The
+    error is the text of the 400 reply. *)
+
 val run : config -> int
 (** Run the daemon until a signal (or, with [until_idle], until the
     queue drains).  Returns the process exit code: [0] when every
@@ -59,5 +67,6 @@ val run : config -> int
 
     SIGTERM/SIGINT stop gracefully: leased workers get SIGTERM (their
     own handlers flush a resumable ledger prefix and a final
-    heartbeat), the HTTP server stops, and the journal is left for the
-    next start to replay. *)
+    heartbeat) and are reaped as they exit ({!Procs.stop}), the HTTP
+    server stops, and the journal is left for the next start to
+    replay. *)

@@ -47,10 +47,14 @@ case "$1" in
   partial0) cp "$part" "$path"; exit 0 ;;
   done) cp "$full" "$path"; exit 0 ;;
   degraded) exit 3 ;;
+  hang) exec sleep 30 ;;
+  fds) ls -l /proc/$$/fd > "$path.fds"; cp "$full" "$path"; exit 0 ;;
+  fdshang) ls -l /proc/$$/fd > "$path.fds"; exec sleep 30 ;;
   *) exit 1 ;;
 esac|}
 
-let plan dir ~n ~actions =
+(* Shard k plays [actions_of k]. *)
+let plan_by_shard dir ~n ~actions_of =
   for k = 1 to n do
     let t name = Filename.concat dir (Printf.sprintf "%s%d" name k) in
     write_ledger ~path:(t "part") ~k ~n ~complete:false;
@@ -60,8 +64,11 @@ let plan dir ~n ~actions =
     argv =
       (fun ~k ~path ->
         let t name = Filename.concat dir (Printf.sprintf "%s%d" name k) in
-        [ "/bin/sh"; "-c"; script; "stub"; path; actions; t "part"; t "full" ])
+        [ "/bin/sh"; "-c"; script; "stub"; path; actions_of k; t "part";
+          t "full" ])
   }
+
+let plan dir ~n ~actions = plan_by_shard dir ~n ~actions_of:(fun _ -> actions)
 
 let shard_paths dir n =
   List.init n (fun i ->
@@ -85,9 +92,8 @@ let terminal =
     | Core.Queue.Done _ | Core.Queue.Quarantined _ -> true
     | _ -> false)
 
-(* Tick a supervisor over a one-job queue until every shard settles,
-   recording the events it emits. *)
-let drive ~max_attempts ~paths plan =
+(* A supervisor over a one-job queue, recording the events it emits. *)
+let supervise ~max_attempts ~paths plan =
   let n = List.length paths in
   let spec =
     { Core.Queue.id = "job"; kind = "stub"; chip = ""; app = None; runs = 0;
@@ -109,6 +115,12 @@ let drive ~max_attempts ~paths plan =
         st := Core.Queue.apply !st ev)
       ()
   in
+  (sup, st, events)
+
+(* Tick a supervisor over a one-job queue until every shard settles,
+   recording the events it emits. *)
+let drive ~max_attempts ~paths plan =
+  let sup, st, events = supervise ~max_attempts ~paths plan in
   let deadline = Unix.gettimeofday () +. 30.0 in
   let rec loop () =
     Core.Procs.tick sup;
@@ -263,6 +275,137 @@ let test_first_attempt_never_adopts () =
            (fun c -> not (Test_util.contains c "--resume"))
            (calls (List.hd paths))))
 
+(* ------------------------------------------------------------------ *)
+(* Waking the supervisor                                                *)
+
+let shards_of st = (List.hd !st.Core.Queue.jobs).Core.Queue.shards
+
+(* Seconds one [wait] with a 10 s timeout blocks.  A sleep-based wait
+   would block all 10. *)
+let timed_wait sup =
+  let t0 = Unix.gettimeofday () in
+  Core.Procs.wait ~timeout:10.0 sup;
+  Unix.gettimeofday () -. t0
+
+let test_worker_exit_wakes_wait () =
+  with_dir (fun dir ->
+      let paths = shard_paths dir 1 in
+      let sup, st, _ =
+        supervise ~max_attempts:1 ~paths (plan dir ~n:1 ~actions:"done")
+      in
+      Core.Procs.tick sup;
+      Alcotest.(check int) "one worker leased" 1
+        (List.length (Core.Procs.pids sup));
+      let dt = timed_wait sup in
+      if dt >= 5.0 then
+        Alcotest.failf "wait blocked %.1f s past the worker's exit" dt;
+      Core.Procs.tick sup;
+      Alcotest.(check (array shard_states)) "the next tick settles it"
+        [| Core.Queue.Done { degraded = false } |] (shards_of st);
+      Alcotest.(check (list int)) "reaped" [] (Core.Procs.pids sup);
+      Core.Procs.stop sup)
+
+let test_poke_wakes_wait () =
+  with_dir (fun dir ->
+      let paths = shard_paths dir 1 in
+      let sup, st, _ =
+        supervise ~max_attempts:1 ~paths (plan dir ~n:1 ~actions:"hang")
+      in
+      Core.Procs.tick sup;
+      let poker =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.05;
+            Core.Procs.poke sup)
+      in
+      let dt = timed_wait sup in
+      Domain.join poker;
+      if dt >= 5.0 then Alcotest.failf "wait blocked %.1f s past the poke" dt;
+      Core.Procs.tick sup;
+      (match (shards_of st).(0) with
+      | Core.Queue.Leased _ -> ()
+      | _ -> Alcotest.fail "the hanging worker lost its lease");
+      let t0 = Unix.gettimeofday () in
+      Core.Procs.stop sup;
+      Alcotest.(check (list int)) "stop reaps the worker" []
+        (Core.Procs.pids sup);
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt >= 5.0 then
+        Alcotest.failf "stop waited %.1f s for a SIGTERM'd worker" dt)
+
+(* The inodes of the pipes an `ls -l /proc/PID/fd` listing names. *)
+let pipe_inodes listing =
+  let tag = "pipe:[" in
+  let n = String.length listing and m = String.length tag in
+  let rec go i acc =
+    if i + m > n then List.sort_uniq compare acc
+    else if String.sub listing i m = tag then
+      let stop = String.index_from listing (i + m) ']' in
+      go stop (String.sub listing (i + m) (stop - i - m) :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let read_file path =
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_no_inherited_exit_fds () =
+  with_dir (fun dir ->
+      let paths = shard_paths dir 2 in
+      (* Pipes the test process held before the supervisor existed
+         (a test runner's own) are inherited by every worker alike. *)
+      let before =
+        pipe_inodes
+          (String.concat "\n"
+             (Array.to_list
+                (Array.map
+                   (fun fd ->
+                     try Unix.readlink (Filename.concat "/proc/self/fd" fd)
+                     with Unix.Unix_error _ -> "")
+                   (Sys.readdir "/proc/self/fd"))))
+      in
+      let plan =
+        plan_by_shard dir ~n:2 ~actions_of:(function
+          | 1 -> "fdshang"
+          | _ -> "fds")
+      in
+      let sup, st, _ = supervise ~max_attempts:1 ~paths plan in
+      let listing k = List.nth paths (k - 1) ^ ".fds" in
+      let listed k =
+        Sys.file_exists (listing k)
+        && Test_util.contains (read_file (listing k)) "pipe:["
+      in
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      let rec settle () =
+        Core.Procs.tick sup;
+        let ready =
+          (match (shards_of st).(1) with
+          | Core.Queue.Done _ -> true
+          | _ -> false)
+          && listed 1
+        in
+        if ready then ()
+        else if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the stub workers never listed their descriptors"
+        else begin
+          Core.Procs.wait sup;
+          settle ()
+        end
+      in
+      settle ();
+      Core.Procs.stop sup;
+      let fresh k =
+        List.filter
+          (fun p -> not (List.mem p before))
+          (pipe_inodes (read_file (listing k)))
+      in
+      let e1 = fresh 1 and e2 = fresh 2 in
+      Alcotest.(check int) "worker 1 holds one pipe of ours: its exit pipe" 1
+        (List.length e1);
+      Alcotest.(check int) "worker 2 holds one pipe of ours: its exit pipe" 1
+        (List.length e2);
+      Alcotest.(check bool) "worker 2 does not hold worker 1's exit pipe"
+        false (e1 = e2))
+
 let () =
   Alcotest.run "procs"
     [ ( "supervisor",
@@ -279,4 +422,11 @@ let () =
           Alcotest.test_case "exhausted attempts quarantined" `Quick
             test_exhausted_attempts_quarantined;
           Alcotest.test_case "fresh run never adopts a stale ledger" `Quick
-            test_first_attempt_never_adopts ] ) ]
+            test_first_attempt_never_adopts ] );
+      ( "wake",
+        [ Alcotest.test_case "a worker's exit wakes wait" `Quick
+            test_worker_exit_wakes_wait;
+          Alcotest.test_case "a poke from another domain wakes wait" `Quick
+            test_poke_wakes_wait;
+          Alcotest.test_case "no worker inherits another's exit pipe" `Quick
+            test_no_inherited_exit_fds ] ) ]

@@ -470,6 +470,26 @@ let test_stats_partition () =
   Alcotest.(check (float 1e-9)) "oldest lease age" 5.0
     s.Core.Queue.s_oldest_lease_age_s
 
+(* ------------------------------------------------------------------ *)
+(* Submission parsing                                                   *)
+
+let test_submission_workers_bound () =
+  let parse workers =
+    Core.Serve.parse_submission ~default_max_attempts:3
+      (Printf.sprintf {|{"chip": "K20", "runs": 1, "workers": %d}|} workers)
+  in
+  let bound = Core.Shard.max_shards in
+  (match parse bound with
+  | Ok spec ->
+    Alcotest.(check int) "the largest shard count is accepted" bound
+      spec.Core.Queue.workers
+  | Error e -> Alcotest.failf "workers = %d refused: %s" bound e);
+  match parse (bound + 1) with
+  | Ok _ -> Alcotest.failf "workers = %d accepted" (bound + 1)
+  | Error e ->
+    Alcotest.(check bool) "the refusal names the bound" true
+      (Test_util.contains e (string_of_int bound))
+
 let () =
   Alcotest.run "serve-queue"
     [ ( "codec",
@@ -493,6 +513,9 @@ let () =
             test_apply_ignores_junk;
           Alcotest.test_case "stats partition" `Quick test_stats_partition ]
       );
+      ( "submit",
+        [ Alcotest.test_case "workers bounded by Shard.max_shards" `Quick
+            test_submission_workers_bound ] );
       ( "replay",
         [ QCheck_alcotest.to_alcotest prop_kill_anywhere_keeps_completions ]
       ) ]
