@@ -178,20 +178,15 @@ let forget t key =
   | _ -> ());
   Hashtbl.remove t.children key
 
-(* [waitpid WNOHANG] for a child.  Its exit pipe reaches EOF when the
-   worker closes its files, a few microseconds before the kernel makes
-   it reapable, so after the EOF a not-yet-reapable child is retried
-   for up to 0.1 s instead of left to the next ceiling tick. *)
-let reap c =
-  let rec go tries =
-    match Unix.waitpid [ Unix.WNOHANG ] c.pid with
-    | 0, _ when c.exited && tries > 0 ->
-      Unix.sleepf 0.001;
-      go (tries - 1)
-    | 0, _ -> None
-    | _, status -> Some status
-  in
-  go 100
+(* Reap a child if it has exited.  EOF on its exit pipe means the worker
+   is already exiting (only it holds the write end, and a worker never
+   closes descriptors it does not know of), so a blocking [waitpid]
+   returns at once; without the EOF only [WNOHANG] may be asked. *)
+let rec reap c =
+  match Unix.waitpid (if c.exited then [] else [ Unix.WNOHANG ]) c.pid with
+  | 0, _ -> None
+  | _, status -> Some status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap c
 
 let outcome t (spec : Queue.spec) k =
   shard_outcome (t.plan_of spec) ~n:spec.workers ~k ~path:(t.path_of spec k)
@@ -408,8 +403,10 @@ let wait ?timeout t =
   let fds = t.poke_r :: List.map (fun c -> c.exit_r) live in
   match Unix.select fds [] [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error _ ->
-    (* A descriptor past FD_SETSIZE: degrade to a plain sleep. *)
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+    (* A descriptor past FD_SETSIZE: degrade to a plain sleep.  Any
+       other error (EBADF: a closed exit pipe still listed) is a bug
+       and propagates. *)
     Unix.sleepf (if timeout < 0.0 then ceiling_s else timeout)
   | ready, _, _ ->
     let buf = Bytes.create 64 in
@@ -439,8 +436,11 @@ let forget_all t =
     t.children;
   Hashtbl.reset t.children
 
+(* How long [stop] waits for SIGTERM'd workers before SIGKILL. *)
+let grace_s = 5.0
+
 (* The poke pipe outlives [stop]: a signal handler may still poke. *)
-let stop ?(grace_s = 5.0) t =
+let stop t =
   List.iter
     (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
     (pids t);
@@ -466,6 +466,11 @@ let stop ?(grace_s = 5.0) t =
       try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     (pids t);
   forget_all t
+
+let close t =
+  forget_all t;
+  close_quietly t.poke_r;
+  close_quietly t.poke_w
 
 let default_max_attempts = 3
 let default_backoff_base_s = 0.5
@@ -531,19 +536,7 @@ let run ~paths plan =
   (* Nothing else can poke this supervisor, so its pipes go with it.
      An interrupt leaves the workers to their own signal handlers, as
      before. *)
-  let release () =
-    forget_all t;
-    close_quietly t.poke_r;
-    close_quietly t.poke_w
-  in
-  match loop 0.0 with
-  | shards ->
-    release ();
-    shards
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    release ();
-    Printexc.raise_with_backtrace e bt
+  Fun.protect ~finally:(fun () -> close t) (fun () -> loop 0.0)
 
 (* Union resume cache over whatever shard ledgers made it to disk.  A
    shard that exhausted its attempts may be unreadable or half-written;

@@ -99,10 +99,15 @@ val poke : t -> unit
     Safe from any domain and from a signal handler, also after
     {!stop}; never blocks. *)
 
-val stop : ?grace_s:float -> t -> unit
+val stop : t -> unit
 (** Graceful shutdown: SIGTERM every live worker, reap them for up to
-    [grace_s] (default 5 s) woken by their exits, then SIGKILL and reap
-    the stragglers.  Records no events. *)
+    5 s woken by their exits, then SIGKILL and reap the stragglers.
+    Records no events. *)
+
+val close : t -> unit
+(** Release the supervisor's descriptors: the poke pipe and the exit
+    pipes of workers not yet reaped, which are forgotten, not signalled
+    (see {!stop}).  Neither {!wait} nor {!poke} may follow. *)
 
 val default_max_attempts : int
 (** [3]: the attempt budget of every [-j N] shard and the serve

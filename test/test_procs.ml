@@ -117,23 +117,33 @@ let supervise ~max_attempts ~paths plan =
   in
   (sup, st, events)
 
+(* Run [f] on a fresh supervisor; stop its workers and close its
+   descriptors after, so no test leaks either into the next. *)
+let with_supervisor ~max_attempts ~paths plan f =
+  let sup, st, events = supervise ~max_attempts ~paths plan in
+  Fun.protect
+    ~finally:(fun () ->
+      Core.Procs.stop sup;
+      Core.Procs.close sup)
+    (fun () -> f sup st events)
+
 (* Tick a supervisor over a one-job queue until every shard settles,
    recording the events it emits. *)
 let drive ~max_attempts ~paths plan =
-  let sup, st, events = supervise ~max_attempts ~paths plan in
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec loop () =
-    Core.Procs.tick sup;
-    let shards = (List.hd !st.Core.Queue.jobs).Core.Queue.shards in
-    if terminal shards then (shards, List.rev !events)
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.fail "supervisor did not settle within 30 s"
-    else begin
-      Unix.sleepf 0.01;
-      loop ()
-    end
-  in
-  loop ()
+  with_supervisor ~max_attempts ~paths plan (fun sup st events ->
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      let rec loop () =
+        Core.Procs.tick sup;
+        let shards = (List.hd !st.Core.Queue.jobs).Core.Queue.shards in
+        if terminal shards then (shards, List.rev !events)
+        else if Unix.gettimeofday () > deadline then
+          Alcotest.fail "supervisor did not settle within 30 s"
+        else begin
+          Unix.sleepf 0.01;
+          loop ()
+        end
+      in
+      loop ())
 
 let shard_states =
   Alcotest.testable
@@ -290,9 +300,8 @@ let timed_wait sup =
 let test_worker_exit_wakes_wait () =
   with_dir (fun dir ->
       let paths = shard_paths dir 1 in
-      let sup, st, _ =
-        supervise ~max_attempts:1 ~paths (plan dir ~n:1 ~actions:"done")
-      in
+      with_supervisor ~max_attempts:1 ~paths (plan dir ~n:1 ~actions:"done")
+      @@ fun sup st _ ->
       Core.Procs.tick sup;
       Alcotest.(check int) "one worker leased" 1
         (List.length (Core.Procs.pids sup));
@@ -302,15 +311,13 @@ let test_worker_exit_wakes_wait () =
       Core.Procs.tick sup;
       Alcotest.(check (array shard_states)) "the next tick settles it"
         [| Core.Queue.Done { degraded = false } |] (shards_of st);
-      Alcotest.(check (list int)) "reaped" [] (Core.Procs.pids sup);
-      Core.Procs.stop sup)
+      Alcotest.(check (list int)) "reaped" [] (Core.Procs.pids sup))
 
 let test_poke_wakes_wait () =
   with_dir (fun dir ->
       let paths = shard_paths dir 1 in
-      let sup, st, _ =
-        supervise ~max_attempts:1 ~paths (plan dir ~n:1 ~actions:"hang")
-      in
+      with_supervisor ~max_attempts:1 ~paths (plan dir ~n:1 ~actions:"hang")
+      @@ fun sup st _ ->
       Core.Procs.tick sup;
       let poker =
         Domain.spawn (fun () ->
@@ -368,31 +375,30 @@ let test_no_inherited_exit_fds () =
           | 1 -> "fdshang"
           | _ -> "fds")
       in
-      let sup, st, _ = supervise ~max_attempts:1 ~paths plan in
       let listing k = List.nth paths (k - 1) ^ ".fds" in
       let listed k =
         Sys.file_exists (listing k)
         && Test_util.contains (read_file (listing k)) "pipe:["
       in
-      let deadline = Unix.gettimeofday () +. 30.0 in
-      let rec settle () =
-        Core.Procs.tick sup;
-        let ready =
-          (match (shards_of st).(1) with
-          | Core.Queue.Done _ -> true
-          | _ -> false)
-          && listed 1
-        in
-        if ready then ()
-        else if Unix.gettimeofday () > deadline then
-          Alcotest.fail "the stub workers never listed their descriptors"
-        else begin
-          Core.Procs.wait sup;
-          settle ()
-        end
-      in
-      settle ();
-      Core.Procs.stop sup;
+      with_supervisor ~max_attempts:1 ~paths plan (fun sup st _ ->
+          let deadline = Unix.gettimeofday () +. 30.0 in
+          let rec settle () =
+            Core.Procs.tick sup;
+            let ready =
+              (match (shards_of st).(1) with
+              | Core.Queue.Done _ -> true
+              | _ -> false)
+              && listed 1
+            in
+            if ready then ()
+            else if Unix.gettimeofday () > deadline then
+              Alcotest.fail "the stub workers never listed their descriptors"
+            else begin
+              Core.Procs.wait sup;
+              settle ()
+            end
+          in
+          settle ());
       let fresh k =
         List.filter
           (fun p -> not (List.mem p before))
