@@ -403,17 +403,16 @@ let jobs_sweep () =
 let worker_flag = "--procs-worker"
 let worker_log_flag = "--procs-log"
 
-(* The header the sweep's shard ledgers carry, which the supervisor
+(* The campaign the sweep's shard ledgers record, which the supervisor
    validates before trusting or resuming one. *)
-let sweep_campaign_kind = "bench-table5"
-
-let sweep_grid =
-  Core.Json.Assoc
-    [ ( "chips",
-        Core.Json.List
-          (List.map (fun c -> Core.Json.String c.Gpusim.Chip.name) sweep_chips)
-      );
-      ("runs", Core.Json.Int sweep_runs) ]
+let sweep_spec =
+  { Core.Spec.kind =
+      Core.Spec.Table
+        { number = 5;
+          chips = List.map (fun c -> c.Gpusim.Chip.name) sweep_chips;
+          budget = Core.Budget.default;
+          runs = sweep_runs };
+    seed }
 
 (* Hidden entry point: `bench --procs-worker K/N --procs-log FILE`.
    Runs the sweep campaign as shard K/N into a deterministic shard
@@ -436,8 +435,9 @@ let procs_worker_main spec log =
       | Error _ -> None)
   in
   let header =
-    Core.Runlog.make_header ~shard:spec ~campaign:sweep_campaign_kind ~seed
-      ~grid:sweep_grid ()
+    Core.Runlog.make_header ~shard:spec
+      ~campaign:(Core.Spec.campaign sweep_spec) ~seed
+      ~grid:(Core.Spec.grid sweep_spec) ()
   in
   let sink = Core.Runlog.create ~deterministic:true ~path:log header in
   let journal = Core.Runlog.journal ~sink ?cache ~origin:"bench worker" "" in
@@ -460,13 +460,11 @@ let procs_sweep serial =
               (fun () ->
                 let shards =
                   Core.Procs.run ~paths
-                    { Core.Procs.campaign = sweep_campaign_kind; seed;
-                      grid = sweep_grid;
-                      argv =
-                        (fun ~k ~path ->
-                          [ Sys.executable_name; worker_flag;
-                            Printf.sprintf "%d/%d" k n; worker_log_flag; path ]
-                          @ if quick_mode then [ "--quick" ] else []) }
+                    ~argv:(fun _ ~k ~path ->
+                      [ Sys.executable_name; worker_flag;
+                        Printf.sprintf "%d/%d" k n; worker_log_flag; path ]
+                      @ if quick_mode then [ "--quick" ] else [])
+                    sweep_spec
                 in
                 Array.iteri
                   (fun i -> function

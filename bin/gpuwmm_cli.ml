@@ -67,13 +67,11 @@ let chip_conv =
     match Gpusim.Chip.by_name s with
     | Some c -> Ok c
     | None ->
-      if String.lowercase_ascii s = "sc" then Ok Gpusim.Chip.sequential
-      else
-        Error
-          (`Msg
-            (Printf.sprintf "unknown chip %S (known: %s)" s
-               (String.concat ", "
-                  (List.map (fun c -> c.Gpusim.Chip.name) Gpusim.Chip.all))))
+      Error
+        (`Msg
+          (Printf.sprintf "unknown chip %S (known: %s)" s
+             (String.concat ", "
+                (List.map (fun c -> c.Gpusim.Chip.name) Gpusim.Chip.all))))
   in
   Arg.conv (parse, fun ppf c -> Fmt.string ppf c.Gpusim.Chip.name)
 
@@ -121,18 +119,9 @@ let budget_term =
       & info [ "runs-scale" ] ~docv:"F"
           ~doc:"Scale per-point execution counts by F.")
   in
-  let make full scale =
-    let b = if full then Core.Budget.paper else Core.Budget.default in
-    let b = if scale = 1.0 then b else Core.Budget.scale_runs b scale in
-    (* The raw flags ride along so a sharded worker subprocess can be
-       spawned with a byte-identical parameter grid. *)
-    let argv =
-      (if full then [ "--full" ] else [])
-      @ if scale = 1.0 then [] else [ "--runs-scale"; string_of_float scale ]
-    in
-    (b, argv)
-  in
-  Term.(const make $ full $ scale)
+  Term.(
+    const (fun full runs_scale -> Core.Budget.of_flags ~full ~runs_scale)
+    $ full $ scale)
 
 let resolve_chips chips all = if all then Gpusim.Chip.all else chips
 
@@ -356,9 +345,23 @@ let guarded f =
        server shutdown); the cleanup still ran. *)
     interrupted signum
 
-let json_strs xs = Core.Json.List (List.map (fun s -> Core.Json.String s) xs)
 let chip_names cs = List.map (fun c -> c.Gpusim.Chip.name) cs
-let app_names apps = List.map (fun a -> a.Apps.App.name) apps
+
+(* The campaign of `test`, and of `chaos` and `submit`, which run it. *)
+let test_spec ~seed ~chip ~app ~runs ~env =
+  { Core.Spec.kind =
+      Test
+        { chip = chip.Gpusim.Chip.name; env; runs;
+          app = Option.map (fun a -> a.Apps.App.name) app };
+    seed }
+
+let env_term = Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
+
+let apps_term =
+  Arg.(
+    value
+    & opt (some app_conv) None
+    & info [ "app" ] ~docv:"APP" ~doc:"Single application (default: all ten).")
 
 (* Composite result-record payloads assembled at the CLI layer; the
    drivers own the per-result codecs. *)
@@ -537,15 +540,16 @@ let passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going =
    result record — `gpuwmm merge` reassembles the canonical ledger from
    the full shard set.
 
-   With ~procs (worker count n and the shard plan) the campaign fans
-   out across n worker subprocesses first — each a single-domain
-   `--shard k/n` run with its own GC, under the shard supervisor the
-   serve daemon also runs (Core.Procs.run) — and the body then
-   executes against the union resume cache of their shard ledgers:
-   cached jobs replay, anything a crashed worker failed to flush re-runs
-   here, and the resulting ledger is indistinguishable from a
-   single-process run.  Fan-out is skipped under --resume/--shard and
-   when GPUWMM_PROCS=off.
+   With ~procs (the flags every worker inherits) and n >= 2 jobs the
+   campaign fans out across n worker subprocesses first — each a
+   single-domain `--shard k/n` run of the spec's own argv with its own
+   GC, under the shard supervisor the serve daemon also runs
+   (Core.Procs.run) — and the body then executes serially against the
+   union resume cache of their shard ledgers: cached jobs replay,
+   anything a crashed worker failed to flush re-runs here, and the
+   resulting ledger is indistinguishable from a single-process run.
+   Fan-out is skipped under --resume/--shard and when GPUWMM_PROCS=off.
+   The body receives the backend to run on.
 
    Observability, all opt-in and result-neutral: every ledgered process
    beats on a <ledger>.hb sidecar (Core.Heartbeat; GPUWMM_HEARTBEAT=off
@@ -554,8 +558,8 @@ let passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going =
    spans and writes a Chrome trace sidecar <ledger>.spans.json with
    absolute timestamps, mergeable across workers by `gpuwmm trace
    --merge`. *)
-let with_ledger ?shard ?procs ?listen ?(spans = false)
-    ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~encode f =
+let with_ledger ?shard ?procs ?listen ?(spans = false) ~spec ~jobs ~log
+    ~resume ~kind ~encode f =
   let shard =
     match shard with
     | None -> None
@@ -617,14 +621,31 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
         Fmt.epr "--listen %d: %s@." port (Unix.error_message e);
         exit 2)
   in
-  let procs_cache, procs_tmp =
+  let fan_out =
     match procs with
-    | Some (n, plan)
-      when n >= 2 && shard = None && resume = None && procs_enabled () ->
+    | Some passthrough when shard = None && resume = None && procs_enabled ()
+      ->
+      let n =
+        match jobs with
+        | Some n -> Core.Exec.clamp_jobs n
+        | None -> Core.Exec.default_jobs ()
+      in
+      if n >= 2 then Some (n, passthrough) else None
+    | _ -> None
+  in
+  let backend = if fan_out = None then backend_of jobs else Core.Exec.Serial in
+  let f = f backend in
+  let procs_cache, procs_tmp =
+    match fan_out with
+    | Some (n, passthrough) ->
       let paths = Core.Procs.shard_paths ?log ~n () in
       Atomic.set hb_paths (List.map Core.Heartbeat.hb_path paths);
       Logs.info (fun f -> f "fanning out %d worker processes" n);
-      let shards = Core.Procs.run ~paths plan in
+      let shards =
+        Core.Procs.run ~paths
+          ~argv:(Core.Procs.worker_argv ~exe:Sys.executable_name ~passthrough)
+          spec
+      in
       Array.iteri
         (fun i -> function
           | Core.Queue.Quarantined { reason } ->
@@ -634,7 +655,7 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
           | _ -> ())
         shards;
       (Some (Core.Procs.merged_cache paths), if log = None then paths else [])
-    | _ -> (None, [])
+    | None -> (None, [])
   in
   Fun.protect
     ~finally:(fun () ->
@@ -664,7 +685,8 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
             | Ok l ->
               (match
                  Core.Runlog.validate_resume ?shard:shard_spec l ~path:p
-                   ~campaign ~seed ~grid
+                   ~campaign:(Core.Spec.campaign spec) ~seed:spec.Core.Spec.seed
+                   ~grid:(Core.Spec.grid spec)
                with
               | Ok () -> ()
               | Error m ->
@@ -697,8 +719,9 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
             match loaded with
             | Some l -> l.Core.Runlog.header
             | None ->
-              Core.Runlog.make_header ?jobs ?shard:shard_spec ~campaign ~seed
-                ~grid ()
+              Core.Runlog.make_header ?jobs ?shard:shard_spec
+                ~campaign:(Core.Spec.campaign spec) ~seed:spec.Core.Spec.seed
+                ~grid:(Core.Spec.grid spec) ()
           in
           let cache =
             match loaded with
@@ -763,6 +786,15 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
             raise e
         end)
 
+(* A ledgered command's whole run: an interrupt or a poison job ends it
+   with its exit code, a degraded campaign with 3. *)
+let ledgered ?shard ?procs ?listen ?spans ~spec ~jobs ~log ~resume ~kind
+    ~encode f =
+  guarded (fun () ->
+      with_ledger ?shard ?procs ?listen ?spans ~spec ~jobs ~log ~resume ~kind
+        ~encode f);
+  conclude_supervised ()
+
 (* ------------------------------------------------------------------ *)
 (* Commands                                                             *)
 
@@ -776,6 +808,17 @@ let chips_cmd =
 
 let tuned_envs chip =
   Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip)
+
+let find_env chip label =
+  match
+    List.find_opt
+      (fun e -> e.Core.Environment.label = label)
+      (tuned_envs chip)
+  with
+  | Some env -> env
+  | None ->
+    Fmt.epr "unknown environment %s@." label;
+    exit 1
 
 let litmus_cmd =
   let idiom_conv =
@@ -803,26 +846,19 @@ let litmus_cmd =
   in
   let run verbose seed chip idiom distance runs env_name =
     setup_log verbose;
-    let envs = tuned_envs chip in
-    match
-      List.find_opt (fun e -> e.Core.Environment.label = env_name) envs
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env ->
-      let inst = { Litmus.Test.idiom; distance } in
-      let weak =
-        Litmus.Runner.count_weak ~chip ~seed
-          ~env:(Core.Environment.for_litmus env)
-          ~runs inst
-      in
-      Fmt.pr "%s with d=%d on %s under %s: %d/%d weak@."
-        (Litmus.Test.idiom_name idiom)
-        distance chip.Gpusim.Chip.name env_name weak runs;
-      Fmt.pr "SC-reachable outcomes: %a@."
-        Fmt.(list ~sep:sp (parens (pair ~sep:comma int int)))
-        (Litmus.Test.sc_outcomes inst)
+    let env = find_env chip env_name in
+    let inst = { Litmus.Test.idiom; distance } in
+    let weak =
+      Litmus.Runner.count_weak ~chip ~seed
+        ~env:(Core.Environment.for_litmus env)
+        ~runs inst
+    in
+    Fmt.pr "%s with d=%d on %s under %s: %d/%d weak@."
+      (Litmus.Test.idiom_name idiom)
+      distance chip.Gpusim.Chip.name env_name weak runs;
+    Fmt.pr "SC-reachable outcomes: %a@."
+      Fmt.(list ~sep:sp (parens (pair ~sep:comma int int)))
+      (Litmus.Test.sc_outcomes inst)
   in
   Cmd.v
     (Cmd.info "litmus"
@@ -899,29 +935,24 @@ let check_cmd =
       $ json_flag $ out_term)
 
 let tune_cmd =
-  let run verbose quiet seed chip (budget, _budget_argv) jobs log resume shard
-      timeout retries keep_going =
+  let run verbose quiet seed chip budget jobs log resume shard timeout retries
+      keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
-    let grid =
-      Core.Json.Assoc
-        [ ("chips", json_strs (chip_names [ chip ]));
-          ("budget", Core.Budget.to_json budget) ]
+    let spec =
+      { Core.Spec.kind = Tune { chip = chip.Gpusim.Chip.name; budget }; seed }
     in
-    guarded (fun () ->
-        with_ledger ?shard ~campaign:"tune" ~seed ~jobs ~grid ~log ~resume
-          ~kind:"tuning" ~encode:tuning_to_json (fun journal ->
-            let r =
-              Core.Tuning.run ~backend:(backend_of jobs) ?journal ~chip ~seed
-                ~budget ()
-            in
-            let minutes = r.Core.Tuning.elapsed_s /. 60.0 in
-            if shard = None then begin
-              Core.Report.table2 Fmt.stdout [ (r, minutes) ];
-              Core.Report.table3 Fmt.stdout r.Core.Tuning.sequences
-            end;
-            [ (r, minutes) ]));
-    conclude_supervised ()
+    ledgered ?shard ~spec ~jobs ~log ~resume ~kind:"tuning"
+      ~encode:tuning_to_json (fun backend journal ->
+        let r =
+          Core.Tuning.run ~backend ?journal ~chip ~seed ~budget ()
+        in
+        let minutes = r.Core.Tuning.elapsed_s /. 60.0 in
+        if shard = None then begin
+          Core.Report.table2 Fmt.stdout [ (r, minutes) ];
+          Core.Report.table3 Fmt.stdout r.Core.Tuning.sequences
+        end;
+        [ (r, minutes) ])
   in
   Cmd.v
     (Cmd.info "tune"
@@ -932,109 +963,60 @@ let tune_cmd =
       $ keep_going_term)
 
 let test_cmd =
-  let app_term =
-    Arg.(
-      value
-      & opt (some app_conv) None
-      & info [ "app" ] ~docv:"APP" ~doc:"Single application (default: all ten).")
-  in
   let runs = Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N") in
-  let env_name =
-    Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
-  in
   let run verbose quiet seed chip app runs env_name jobs log resume shard
       listen spans strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
-    let envs = tuned_envs chip in
-    match
-      List.find_opt (fun e -> e.Core.Environment.label = env_name) envs
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env ->
-      let apps =
-        match app with Some a -> [ a ] | None -> Apps.Registry.all
-      in
-      (* Campaign-scale work defaults to the process backend: worker
-         subprocesses dodge OCaml 5's shared stop-the-world minor GC,
-         which caps the in-process domain pool below 1x on this
-         workload.  GPUWMM_PROCS=off restores the domain pool. *)
-      let procs_n =
-        let n =
-          match jobs with
-          | Some n -> Core.Exec.clamp_jobs n
-          | None -> Core.Exec.default_jobs ()
+    let env = find_env chip env_name in
+    let apps =
+      match app with Some a -> [ a ] | None -> Apps.Registry.all
+    in
+    let spec = test_spec ~seed ~chip ~app ~runs ~env:env_name in
+    (* Campaign-scale work defaults to the process backend: worker
+       subprocesses dodge OCaml 5's shared stop-the-world minor GC,
+       which caps the in-process domain pool below 1x on this
+       workload.  GPUWMM_PROCS=off restores the domain pool. *)
+    ledgered ?shard
+      ~procs:
+        (passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going)
+      ?listen ~spans ~spec ~jobs ~log ~resume ~kind:"campaign"
+      ~encode:Core.Campaign.rows_to_json (fun backend journal ->
+        let rows =
+          Core.Campaign.run ~backend ?journal ~chips:[ chip ]
+            ~environments_for:(fun _ -> [ env ])
+            ~apps ~runs ~seed ()
         in
-        if n >= 2 && shard = None && resume = None && procs_enabled () then
-          Some n
-        else None
-      in
-      let plan =
-        Core.Procs.test_plan ~exe:Sys.executable_name
-          { Core.Queue.id = "test"; kind = "test";
-            chip = chip.Gpusim.Chip.name;
-            app = Option.map (fun a -> a.Apps.App.name) app;
-            runs; env = env_name; seed;
-            workers = Option.value procs_n ~default:1; priority = 0;
-            max_attempts = Core.Procs.default_max_attempts }
-      in
-      let plan =
-        { plan with
-          argv =
-            (fun ~k ~path ->
-              plan.argv ~k ~path
-              @ passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going)
-        }
-      in
-      (* Under worker processes this process only replays the shards'
-         cached results, on one domain. *)
-      let backend =
-        if procs_n = None then backend_of jobs else Core.Exec.Serial
-      in
-      guarded (fun () ->
-          with_ledger ?shard
-            ?procs:(Option.map (fun n -> (n, plan)) procs_n)
-            ?listen ~spans ~campaign:"test" ~seed ~jobs
-            ~grid:plan.Core.Procs.grid ~log ~resume ~kind:"campaign"
-            ~encode:Core.Campaign.rows_to_json (fun journal ->
-              let rows =
-                Core.Campaign.run ~backend ?journal ~chips:[ chip ]
-                  ~environments_for:(fun _ -> [ env ])
-                  ~apps ~runs ~seed ()
-              in
-              if shard = None then
-                List.iter
-                  (fun row ->
-                    List.iter
-                      (fun cell ->
-                        match cell.Core.Campaign.quarantined with
-                        | Some reason ->
-                          Fmt.pr "%-12s %s %s: QUARANTINED (%s)@."
-                            cell.Core.Campaign.app chip.Gpusim.Chip.name
-                            env_name reason
-                        | None ->
-                          Fmt.pr "%-12s %s %s: %d/%d erroneous runs%s@."
-                            cell.Core.Campaign.app chip.Gpusim.Chip.name
-                            env_name cell.Core.Campaign.errors
-                            cell.Core.Campaign.runs
-                            (match Core.Campaign.dominant cell with
-                            | None -> ""
-                            | Some (msg, n) ->
-                              Printf.sprintf "  (dominant: %s x%d)" msg n))
-                      row.Core.Campaign.cells)
-                  rows;
-              rows));
-      conclude_supervised ()
+        if shard = None then
+          List.iter
+            (fun row ->
+              List.iter
+                (fun cell ->
+                  match cell.Core.Campaign.quarantined with
+                  | Some reason ->
+                    Fmt.pr "%-12s %s %s: QUARANTINED (%s)@."
+                      cell.Core.Campaign.app chip.Gpusim.Chip.name
+                      env_name reason
+                  | None ->
+                    Fmt.pr "%-12s %s %s: %d/%d erroneous runs%s@."
+                      cell.Core.Campaign.app chip.Gpusim.Chip.name
+                      env_name cell.Core.Campaign.errors
+                      cell.Core.Campaign.runs
+                      (match Core.Campaign.dominant cell with
+                      | None -> ""
+                      | Some (msg, n) ->
+                        Printf.sprintf "  (dominant: %s x%d)" msg n))
+                row.Core.Campaign.cells)
+            rows;
+        rows)
   in
   Cmd.v
     (Cmd.info "test"
        ~doc:"Repeatedly execute applications under a testing environment \
              and count erroneous runs (Sec. 4).")
     Term.(
-      const run $ verbose $ quiet $ seed $ chip $ app_term $ runs $ env_name
+      const run $ verbose $ quiet $ seed $ chip $ apps_term $ runs $ env_term
       $ jobs_term $ log_term $ resume_term $ shard_term $ listen_term
       $ spans_term $ strict_term $ timeout_term $ retries_term
       $ keep_going_term)
@@ -1056,35 +1038,33 @@ let harden_cmd =
     let config =
       { (Core.Harden.default_config ~chip) with stability_runs = stability }
     in
-    let grid =
-      Core.Json.Assoc
-        [ ("chips", json_strs (chip_names [ chip ]));
-          ("apps", json_strs (app_names [ app ]));
-          ("stability_runs", Core.Json.Int stability) ]
+    let spec =
+      { Core.Spec.kind =
+          Harden
+            { chip = chip.Gpusim.Chip.name; app = app.Apps.App.name;
+              stability_runs = stability };
+        seed }
     in
-    guarded (fun () ->
-        with_ledger ?shard ~campaign:"harden" ~seed ~jobs ~grid ~log ~resume
-          ~kind:"harden" ~encode:Core.Harden.results_to_json (fun journal ->
-            let r =
-              Core.Harden.insert ~chip ~config ~backend:(backend_of jobs)
-                ?journal ~app ~seed ()
-            in
-            if shard = None then begin
-              Core.Report.table6 Fmt.stdout [ r ];
-              (* Show the hardened kernels. *)
-              List.iter
-                (fun k ->
-                  let fenced =
-                    Apps.App.apply_fencing
-                      (Apps.App.Sites r.Core.Harden.fences) k
-                  in
-                  if Gpusim.Kernel.fence_sites fenced <> [] then
-                    Fmt.pr "@.%s@."
-                      (Gpusim.Kernel_pp.to_string ~sids:true fenced))
-                app.Apps.App.kernels
-            end;
-            [ r ]));
-    conclude_supervised ()
+    ledgered ?shard ~spec ~jobs ~log ~resume ~kind:"harden"
+      ~encode:Core.Harden.results_to_json (fun backend journal ->
+        let r =
+          Core.Harden.insert ~chip ~config ~backend ?journal ~app ~seed ()
+        in
+        if shard = None then begin
+          Core.Report.table6 Fmt.stdout [ r ];
+          (* Show the hardened kernels. *)
+          List.iter
+            (fun k ->
+              let fenced =
+                Apps.App.apply_fencing
+                  (Apps.App.Sites r.Core.Harden.fences) k
+              in
+              if Gpusim.Kernel.fence_sites fenced <> [] then
+                Fmt.pr "@.%s@."
+                  (Gpusim.Kernel_pp.to_string ~sids:true fenced))
+            app.Apps.App.kernels
+        end;
+        [ r ])
   in
   Cmd.v
     (Cmd.info "harden"
@@ -1326,33 +1306,25 @@ let trace_cmd =
       Fmt.epr "--capacity must be positive@.";
       exit 1
     end;
-    match
-      List.find_opt
-        (fun e -> e.Core.Environment.label = env_name)
-        (tuned_envs chip)
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env ->
-      let sim = Gpusim.Sim.create ~chip ~seed () in
-      Gpusim.Sim.set_environment sim (Core.Environment.for_app env);
-      let sink = Gpusim.Sim.trace sim in
-      Gpusim.Trace.enable ~capacity sink;
-      let outcome = app.Apps.App.run sim Apps.App.Original in
-      let records = Gpusim.Trace.records sink in
-      Fmt.pr "%s on %s under %s: %s@." app.Apps.App.name
-        chip.Gpusim.Chip.name env_name
-        (match outcome with Ok () -> "ok" | Error e -> "ERROR " ^ e);
-      Fmt.pr "%d event(s) recorded (%d emitted, %d dropped by the ring)@."
-        (List.length records)
-        (Gpusim.Trace.emitted sink)
-        (Gpusim.Trace.dropped sink);
-      write_file out
-        (Core.Json.to_string (Core.Telemetry.chrome_trace records) ^ "\n");
-      Option.iter
-        (fun p -> write_file p (Core.Telemetry.jsonl records))
-        jsonl_out
+    let env = find_env chip env_name in
+    let sim = Gpusim.Sim.create ~chip ~seed () in
+    Gpusim.Sim.set_environment sim (Core.Environment.for_app env);
+    let sink = Gpusim.Sim.trace sim in
+    Gpusim.Trace.enable ~capacity sink;
+    let outcome = app.Apps.App.run sim Apps.App.Original in
+    let records = Gpusim.Trace.records sink in
+    Fmt.pr "%s on %s under %s: %s@." app.Apps.App.name
+      chip.Gpusim.Chip.name env_name
+      (match outcome with Ok () -> "ok" | Error e -> "ERROR " ^ e);
+    Fmt.pr "%d event(s) recorded (%d emitted, %d dropped by the ring)@."
+      (List.length records)
+      (Gpusim.Trace.emitted sink)
+      (Gpusim.Trace.dropped sink);
+    write_file out
+      (Core.Json.to_string (Core.Telemetry.chrome_trace records) ^ "\n");
+    Option.iter
+      (fun p -> write_file p (Core.Telemetry.jsonl records))
+      jsonl_out
     end
   in
   Cmd.v
@@ -1416,9 +1388,6 @@ let run_litmus_cmd =
       & info [] ~docv:"FILE" ~doc:"A .litmus test file.")
   in
   let runs = Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"N") in
-  let env_name =
-    Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
-  in
   let run verbose seed chip file runs env_name =
     setup_log verbose;
     let ic = open_in file in
@@ -1433,113 +1402,66 @@ let run_litmus_cmd =
       Fmt.pr "%a@." Litmus.Lang.pp t;
       let sc = Litmus.Lang.sc_allows t in
       Fmt.pr "condition reachable under SC: %b@." sc;
-      match
-        List.find_opt
-          (fun e -> e.Core.Environment.label = env_name)
-          (tuned_envs chip)
-      with
-      | None ->
-        Fmt.epr "unknown environment %s@." env_name;
-        exit 1
-      | Some env ->
-        let n =
-          Litmus.Lang.count_satisfied ~chip ~seed
-            ~env:(Core.Environment.for_litmus env) ~runs t
-        in
-        Fmt.pr "observed on %s under %s: %d/%d%s@." chip.Gpusim.Chip.name
-          env_name n runs
-          (if (not sc) && n > 0 then "  ** WEAK BEHAVIOUR **" else ""))
+      let env = find_env chip env_name in
+      let n =
+        Litmus.Lang.count_satisfied ~chip ~seed
+          ~env:(Core.Environment.for_litmus env) ~runs t
+      in
+      Fmt.pr "observed on %s under %s: %d/%d%s@." chip.Gpusim.Chip.name
+        env_name n runs
+        (if (not sc) && n > 0 then "  ** WEAK BEHAVIOUR **" else ""))
   in
   Cmd.v
     (Cmd.info "run-litmus"
        ~doc:"Parse a .litmus file, check its condition against the SC              oracle, and run it on the weak machine.")
-    Term.(const run $ verbose $ seed $ chip $ file $ runs $ env_name)
+    Term.(const run $ verbose $ seed $ chip $ file $ runs $ env_term)
 
 (* ------------------------------------------------------------------ *)
 (* Tables and figures                                                   *)
+
+(* A chip's own phase namespace inside a multi-chip ledger. *)
+let per_chip journal chip =
+  Option.map
+    (fun j -> Core.Runlog.extend j (chip.Gpusim.Chip.name ^ "/"))
+    journal
 
 let table_cmd =
   let number =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table number (1-6).")
   in
   let runs = Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N") in
-  let run verbose quiet seed chips all number (budget, budget_argv) runs jobs
-      log resume shard listen spans strict timeout retries keep_going =
+  let run verbose quiet seed chips all number budget runs jobs log resume
+      shard listen spans strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
     let chips = resolve_chips chips all in
-    let grid =
-      Core.Json.Assoc
-        [ ("chips", json_strs (chip_names chips));
-          ("budget", Core.Budget.to_json budget);
-          ("runs", Core.Json.Int runs) ]
+    let spec =
+      { Core.Spec.kind =
+          Table { number; chips = chip_names chips; budget; runs };
+        seed }
     in
     (* Only the Table 5 campaign is a flat independent grid today, so it
        alone defaults to the process backend (see `test`); the adaptive
        tables keep the domain pool. *)
-    let procs_n =
-      let n =
-        match jobs with
-        | Some n -> Core.Exec.clamp_jobs n
-        | None -> Core.Exec.default_jobs ()
-      in
-      if
-        number = 5 && n >= 2 && shard = None && resume = None
-        && procs_enabled ()
-      then Some n
+    let procs =
+      if number = 5 then
+        Some (passthrough_argv ~spans ~strict ~timeout ~retries ~keep_going)
       else None
     in
-    let campaign = Printf.sprintf "table%d" number in
-    let procs =
-      Option.map
-        (fun n ->
-          ( n,
-            { Core.Procs.campaign; seed; grid;
-              argv =
-                (fun ~k ~path ->
-                  [ Sys.executable_name; "table"; string_of_int number;
-                    "--chips"; String.concat "," (chip_names chips);
-                    "--runs"; string_of_int runs;
-                    "--seed"; string_of_int seed;
-                    "-j"; "1"; "-q";
-                    "--shard"; Printf.sprintf "%d/%d" k n;
-                    "--log"; path ]
-                  @ budget_argv
-                  @ passthrough_argv ~spans ~strict ~timeout ~retries
-                      ~keep_going) } ))
-        procs_n
-    in
-    (* Under worker processes only the replay pass runs here. *)
-    let backend =
-      if procs_n = None then backend_of jobs else Core.Exec.Serial
-    in
-    let ledgered :
-        type a.
-        kind:string ->
-        encode:(a -> Core.Json.t) ->
-        (Core.Runlog.journal option -> a) ->
-        unit =
-     fun ~kind ~encode f ->
-      guarded (fun () ->
-          with_ledger ?shard ?procs ?listen ~spans ~campaign ~seed ~jobs ~grid
-            ~log ~resume ~kind ~encode f);
-      conclude_supervised ()
+    let ledgered ~kind ~encode f =
+      ledgered ?shard ?procs ?listen ~spans ~spec ~jobs ~log ~resume ~kind
+        ~encode f
     in
     let static render =
       if log <> None || resume <> None then
         Fmt.epr "table %d is static; --log/--resume ignored@." number;
       render Fmt.stdout
     in
-    let per_chip journal chip =
-      Option.map
-        (fun j -> Core.Runlog.extend j (chip.Gpusim.Chip.name ^ "/"))
-        journal
-    in
     match number with
     | 1 -> static Core.Report.table1
     | 2 ->
-      ledgered ~kind:"tuning" ~encode:tuning_to_json (fun journal ->
+      ledgered ~kind:"tuning" ~encode:tuning_to_json (fun backend journal ->
           let results =
             List.map
               (fun chip ->
@@ -1554,7 +1476,7 @@ let table_cmd =
           Core.Report.table2 Fmt.stdout results;
           results)
     | 3 ->
-      ledgered ~kind:"seq" ~encode:seq_to_json (fun journal ->
+      ledgered ~kind:"seq" ~encode:seq_to_json (fun backend journal ->
           let chip = List.hd chips in
           let patch =
             Core.Patch_finder.run ~backend ?journal ~chip ~seed ~budget ()
@@ -1568,7 +1490,7 @@ let table_cmd =
     | 4 -> static Core.Report.table4
     | 5 ->
       ledgered ~kind:"campaign" ~encode:Core.Campaign.rows_to_json
-        (fun journal ->
+        (fun backend journal ->
           let rows =
             Core.Campaign.run ~backend ?journal ~chips
               ~environments_for:tuned_envs ~apps:Apps.Registry.all ~runs
@@ -1578,7 +1500,7 @@ let table_cmd =
           rows)
     | 6 ->
       ledgered ~kind:"harden" ~encode:Core.Harden.results_to_json
-        (fun journal ->
+        (fun backend journal ->
           let results =
             List.concat_map
               (fun app ->
@@ -1615,42 +1537,25 @@ let figure_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure number (3-5).")
   in
   let runs = Arg.(value & opt int 30 & info [ "runs" ] ~docv:"N") in
-  let run verbose quiet seed chips all number (budget, _budget_argv) runs csv
-      jobs log resume shard strict timeout retries keep_going =
+  let run verbose quiet seed chips all number budget runs csv jobs log resume
+      shard strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
     let chips = resolve_chips chips all in
-    let backend = backend_of jobs in
-    let grid =
-      Core.Json.Assoc
-        [ ("chips", json_strs (chip_names chips));
-          ("budget", Core.Budget.to_json budget);
-          ("runs", Core.Json.Int runs) ]
+    let spec =
+      { Core.Spec.kind =
+          Figure { number; chips = chip_names chips; budget; runs };
+        seed }
     in
-    let ledgered :
-        type a.
-        kind:string ->
-        encode:(a -> Core.Json.t) ->
-        (Core.Runlog.journal option -> a) ->
-        unit =
-     fun ~kind ~encode f ->
-      guarded (fun () ->
-          with_ledger ?shard
-            ~campaign:(Printf.sprintf "figure%d" number)
-            ~seed ~jobs ~grid ~log ~resume ~kind ~encode f);
-      conclude_supervised ()
-    in
-    let per_chip journal chip =
-      Option.map
-        (fun j -> Core.Runlog.extend j (chip.Gpusim.Chip.name ^ "/"))
-        journal
+    let ledgered ~kind ~encode f =
+      ledgered ?shard ~spec ~jobs ~log ~resume ~kind ~encode f
     in
     match number with
     | 3 ->
       ledgered ~kind:"patch"
         ~encode:(chipped_to_json Core.Patch_finder.result_to_json)
-        (fun journal ->
+        (fun backend journal ->
           List.map
             (fun chip ->
               let r =
@@ -1665,7 +1570,7 @@ let figure_cmd =
     | 4 ->
       ledgered ~kind:"spread"
         ~encode:(chipped_to_json Core.Spread_finder.result_to_json)
-        (fun journal ->
+        (fun backend journal ->
           List.map
             (fun chip ->
               let journal = per_chip journal chip in
@@ -1684,7 +1589,8 @@ let figure_cmd =
               (chip.Gpusim.Chip.name, r))
             chips)
     | 5 ->
-      ledgered ~kind:"cost" ~encode:Core.Cost.points_to_json (fun journal ->
+      ledgered ~kind:"cost" ~encode:Core.Cost.points_to_json
+        (fun backend journal ->
           let apps = Apps.Registry.fence_free in
           (* emp_for runs inside a Cost job; keep the nested hardening serial
              so a parallel cost campaign does not oversubscribe domains. *)
@@ -1714,16 +1620,7 @@ let figure_cmd =
 (* Chaos testing: deterministic fault injection                         *)
 
 let chaos_cmd =
-  let app_term =
-    Arg.(
-      value
-      & opt (some app_conv) None
-      & info [ "app" ] ~docv:"APP" ~doc:"Single application (default: all ten).")
-  in
   let runs = Arg.(value & opt int 12 & info [ "runs" ] ~docv:"N") in
-  let env_name =
-    Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
-  in
   let log_term =
     Arg.(
       value & opt string "chaos.jsonl"
@@ -1810,225 +1707,198 @@ let chaos_cmd =
       Fmt.epr "--retries must be non-negative@.";
       exit 2
     end;
-    match
-      List.find_opt
-        (fun e -> e.Core.Environment.label = env_name)
-        (tuned_envs chip)
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env -> (
-      let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
-      let backend = backend_of jobs in
-      (* Soft errors are simulator-level and deterministic per device seed,
-         so they are armed for the reference run too: the invariants below
-         measure executor faults only. *)
-      if soft_rate > 0.0 then
-        Gpusim.Sim.set_soft_error_default (Some (soft_rate, fault_seed));
-      Fmt.pr "chaos: fault plan: %a@." Core.Fault.pp plan;
-      let campaign_rows journal =
-        Core.Campaign.run ~backend ?journal ~chips:[ chip ]
-          ~environments_for:(fun _ -> [ env ])
-          ~apps ~runs ~seed ()
+    let env = find_env chip env_name in
+    let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
+    let backend = backend_of jobs in
+    (* Soft errors are simulator-level and deterministic per device seed,
+       so they are armed for the reference run too: the invariants below
+       measure executor faults only. *)
+    if soft_rate > 0.0 then
+      Gpusim.Sim.set_soft_error_default (Some (soft_rate, fault_seed));
+    Fmt.pr "chaos: fault plan: %a@." Core.Fault.pp plan;
+    let campaign_rows journal =
+      Core.Campaign.run ~backend ?journal ~chips:[ chip ]
+        ~environments_for:(fun _ -> [ env ])
+        ~apps ~runs ~seed ()
+    in
+    let cells_of rows =
+      List.concat_map (fun r -> r.Core.Campaign.cells) rows
+    in
+    (* 1. Fault-free reference at the same seeds. *)
+    Core.Exec.set_supervision None;
+    let ref_cells = cells_of (campaign_rows None) in
+    let n_jobs = List.length ref_cells in
+    (* 2. Pure predictions from the fault plan — computed before the
+       faulted run, never from its observations. *)
+    let predictions =
+      List.init n_jobs (fun i -> Core.Fault.predict plan ~retries ~index:i)
+    in
+    let predicted o =
+      List.concat
+        (List.mapi
+           (fun i (p : Core.Fault.prediction) ->
+             if p.Core.Fault.outcome = o then [ i ] else [])
+           predictions)
+    in
+    let pred_quarantined = predicted `Quarantined in
+    let pred_corrupted = predicted `Corrupted in
+    let pred_retried =
+      List.fold_left
+        (fun acc (p : Core.Fault.prediction) ->
+          acc + p.Core.Fault.attempts - 1)
+        0 predictions
+    in
+    Fmt.pr
+      "chaos: %d job(s); predicting %d quarantine(s), %d corrupted \
+       result(s), %d retry attempt(s)@."
+      n_jobs
+      (List.length pred_quarantined)
+      (List.length pred_corrupted)
+      pred_retried;
+    (* 3. The same campaign under the fault plan, supervised and
+       ledgered. *)
+    Core.Exec.set_supervision
+      (Some
+         (Core.Exec.supervision ?timeout_s:timeout ~retries ~keep_going
+            ~faults:plan ()));
+    (* The campaign ledgered at [log], or resumed from [resume]. *)
+    let ledgered ?resume log =
+      let rows = ref [] in
+      with_ledger ~spec:(test_spec ~seed ~chip ~app ~runs ~env:env_name)
+        ~jobs ~log:(Some log) ~resume ~kind:"campaign"
+        ~encode:Core.Campaign.rows_to_json (fun _ journal ->
+          rows := campaign_rows journal;
+          !rows);
+      !rows
+    in
+    let outcome =
+      match ledgered log with
+      | rows -> Ok rows
+      | exception Core.Exec.Job_failed fl -> Error fl
+    in
+    (* set_supervision resets the summary, so drain first. *)
+    let summary = Core.Exec.drain_summary () in
+    Core.Exec.set_supervision None;
+    match outcome with
+    | Error fl ->
+      Fmt.epr "failed: %a@." pp_failure fl;
+      Fmt.epr
+        "chaos: campaign aborted on a poison job (no --keep-going); %s \
+         is footer-less and resumable@."
+        log;
+      exit exit_failed
+    | Ok rows ->
+      let chaos_cells = cells_of rows in
+      let violations = ref 0 in
+      let check name ok detail =
+        if ok then Fmt.pr "  ok: %s@." name
+        else begin
+          incr violations;
+          Fmt.pr "  VIOLATED: %s (%s)@." name (detail ())
+        end
       in
-      let cells_of rows =
-        List.concat_map (fun r -> r.Core.Campaign.cells) rows
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Fmt.pr "chaos: checking invariants@.";
+      let actual_q =
+        List.sort compare
+          (List.map
+             (fun fl -> fl.Core.Exec.f_index)
+             summary.Core.Exec.quarantined)
       in
-      (* 1. Fault-free reference at the same seeds. *)
-      Core.Exec.set_supervision None;
-      let ref_cells = cells_of (campaign_rows None) in
-      let n_jobs = List.length ref_cells in
-      (* 2. Pure predictions from the fault plan — computed before the
-         faulted run, never from its observations. *)
-      let predictions =
-        List.init n_jobs (fun i -> Core.Fault.predict plan ~retries ~index:i)
-      in
-      let predicted o =
-        List.concat
-          (List.mapi
-             (fun i (p : Core.Fault.prediction) ->
-               if p.Core.Fault.outcome = o then [ i ] else [])
-             predictions)
-      in
-      let pred_quarantined = predicted `Quarantined in
-      let pred_corrupted = predicted `Corrupted in
-      let pred_retried =
-        List.fold_left
-          (fun acc (p : Core.Fault.prediction) ->
-            acc + p.Core.Fault.attempts - 1)
-          0 predictions
-      in
-      Fmt.pr
-        "chaos: %d job(s); predicting %d quarantine(s), %d corrupted \
-         result(s), %d retry attempt(s)@."
-        n_jobs
-        (List.length pred_quarantined)
-        (List.length pred_corrupted)
-        pred_retried;
-      (* 3. The same campaign under the fault plan, supervised and
-         ledgered. *)
-      Core.Exec.set_supervision
-        (Some
-           (Core.Exec.supervision ?timeout_s:timeout ~retries ~keep_going
-              ~faults:plan ()));
-      let grid =
-        Core.Json.Assoc
-          [ ("chips", json_strs (chip_names [ chip ]));
-            ("envs", json_strs [ env_name ]);
-            ("apps", json_strs (app_names apps));
-            ("runs", Core.Json.Int runs) ]
-      in
-      let header =
-        Core.Runlog.make_header ?jobs ~campaign:"test" ~seed ~grid ()
-      in
-      let sink = Core.Runlog.create ~path:log header in
-      let journal = Core.Runlog.journal ~sink "" in
-      let outcome =
-        match campaign_rows (Some journal) with
-        | rows ->
-          Core.Runlog.append_result sink ~kind:"campaign"
-            (Core.Campaign.rows_to_json rows);
-          Core.Runlog.close sink;
-          Ok rows
-        | exception Core.Exec.Job_failed fl ->
-          Core.Runlog.abort sink;
-          Error fl
-      in
-      (* set_supervision resets the summary, so drain first. *)
-      let summary = Core.Exec.drain_summary () in
-      Core.Exec.set_supervision None;
-      match outcome with
-      | Error fl ->
-        Fmt.epr "failed: %a@." pp_failure fl;
-        Fmt.epr
-          "chaos: campaign aborted on a poison job (no --keep-going); %s \
-           is footer-less and resumable@."
-          log;
-        exit exit_failed
-      | Ok rows ->
-        let chaos_cells = cells_of rows in
-        let violations = ref 0 in
-        let check name ok detail =
-          if ok then Fmt.pr "  ok: %s@." name
-          else begin
-            incr violations;
-            Fmt.pr "  VIOLATED: %s (%s)@." name (detail ())
-          end
-        in
-        let ints l = String.concat "," (List.map string_of_int l) in
-        Fmt.pr "chaos: checking invariants@.";
-        let actual_q =
+      check "quarantine set matches the pure fault-plan prediction"
+        (actual_q = pred_quarantined)
+        (fun () ->
+          Printf.sprintf "predicted [%s], observed [%s]"
+            (ints pred_quarantined) (ints actual_q));
+      check "retry count matches prediction"
+        (summary.Core.Exec.retried = pred_retried)
+        (fun () ->
+          Printf.sprintf "predicted %d, observed %d" pred_retried
+            summary.Core.Exec.retried);
+      let identical = ref true in
+      let first_diff = ref (-1) in
+      List.iteri
+        (fun i (p : Core.Fault.prediction) ->
+          if
+            p.Core.Fault.outcome = `Clean
+            && List.nth chaos_cells i <> List.nth ref_cells i
+          then begin
+            identical := false;
+            if !first_diff < 0 then first_diff := i
+          end)
+        predictions;
+      check
+        "surviving jobs are bit-identical to the fault-free reference \
+         (retries reuse the planned seed)"
+        !identical
+        (fun () -> Printf.sprintf "cell %d differs" !first_diff);
+      check "quarantined cells carry no measurements"
+        (List.for_all
+           (fun i ->
+             let c = List.nth chaos_cells i in
+             c.Core.Campaign.quarantined <> None && c.Core.Campaign.runs = 0)
+           pred_quarantined)
+        (fun () -> "a quarantined cell has data");
+      (match Core.Runlog.load log with
+      | Error e -> check "ledger reloads" false (fun () -> e)
+      | Ok l ->
+        let failed_idx =
           List.sort compare
-            (List.map
-               (fun fl -> fl.Core.Exec.f_index)
-               summary.Core.Exec.quarantined)
+            (List.filter_map
+               (fun (j : Core.Runlog.job) ->
+                 if j.Core.Runlog.failed <> None then
+                   Some j.Core.Runlog.index
+                 else None)
+               l.Core.Runlog.jobs)
         in
-        check "quarantine set matches the pure fault-plan prediction"
-          (actual_q = pred_quarantined)
+        check "ledger records every quarantined job"
+          (failed_idx = pred_quarantined)
           (fun () ->
-            Printf.sprintf "predicted [%s], observed [%s]"
-              (ints pred_quarantined) (ints actual_q));
-        check "retry count matches prediction"
-          (summary.Core.Exec.retried = pred_retried)
-          (fun () ->
-            Printf.sprintf "predicted %d, observed %d" pred_retried
-              summary.Core.Exec.retried);
-        let identical = ref true in
-        let first_diff = ref (-1) in
+            Printf.sprintf "ledger has failed records [%s]"
+              (ints failed_idx));
+        check "ledger footer counts the quarantined jobs"
+          (match l.Core.Runlog.footer with
+          | Some ft ->
+            ft.Core.Runlog.quarantined = List.length pred_quarantined
+          | None -> false)
+          (fun () -> "footer missing or wrong count");
+        (* 5. Resume the chaos ledger with faults cleared: quarantined
+           jobs re-run clean and recover the reference result;
+           corrupted records persist (they were recorded as
+           successes — silent corruption survives resume). *)
+        let resumed_path = log ^ ".resumed" in
+        let cells2 = cells_of (ledgered ~resume:log resumed_path) in
+        let recovered = ref true in
+        let first_bad = ref (-1) in
         List.iteri
           (fun i (p : Core.Fault.prediction) ->
-            if
-              p.Core.Fault.outcome = `Clean
-              && List.nth chaos_cells i <> List.nth ref_cells i
-            then begin
-              identical := false;
-              if !first_diff < 0 then first_diff := i
+            let expect =
+              if p.Core.Fault.outcome = `Corrupted then
+                List.nth chaos_cells i
+              else List.nth ref_cells i
+            in
+            if List.nth cells2 i <> expect then begin
+              recovered := false;
+              if !first_bad < 0 then first_bad := i
             end)
           predictions;
-        check
-          "surviving jobs are bit-identical to the fault-free reference \
-           (retries reuse the planned seed)"
-          !identical
-          (fun () -> Printf.sprintf "cell %d differs" !first_diff);
-        check "quarantined cells carry no measurements"
-          (List.for_all
-             (fun i ->
-               let c = List.nth chaos_cells i in
-               c.Core.Campaign.quarantined <> None && c.Core.Campaign.runs = 0)
-             pred_quarantined)
-          (fun () -> "a quarantined cell has data");
-        (match Core.Runlog.load log with
-        | Error e -> check "ledger reloads" false (fun () -> e)
-        | Ok l ->
-          let failed_idx =
-            List.sort compare
-              (List.filter_map
-                 (fun (j : Core.Runlog.job) ->
-                   if j.Core.Runlog.failed <> None then
-                     Some j.Core.Runlog.index
-                   else None)
-                 l.Core.Runlog.jobs)
-          in
-          check "ledger records every quarantined job"
-            (failed_idx = pred_quarantined)
-            (fun () ->
-              Printf.sprintf "ledger has failed records [%s]"
-                (ints failed_idx));
-          check "ledger footer counts the quarantined jobs"
-            (match l.Core.Runlog.footer with
-            | Some ft ->
-              ft.Core.Runlog.quarantined = List.length pred_quarantined
-            | None -> false)
-            (fun () -> "footer missing or wrong count");
-          (* 5. Resume the chaos ledger with faults cleared: quarantined
-             jobs re-run clean and recover the reference result;
-             corrupted records persist (they were recorded as
-             successes — silent corruption survives resume). *)
-          let resumed_path = log ^ ".resumed" in
-          let cache = Core.Runlog.cache_of_ledger l in
-          let sink2 =
-            Core.Runlog.create ~path:resumed_path l.Core.Runlog.header
-          in
-          let journal2 =
-            Core.Runlog.journal ~sink:sink2 ~cache ~origin:log ""
-          in
-          let rows2 = campaign_rows (Some journal2) in
-          Core.Runlog.append_result sink2 ~kind:"campaign"
-            (Core.Campaign.rows_to_json rows2);
-          Core.Runlog.close sink2;
-          let cells2 = cells_of rows2 in
-          let recovered = ref true in
-          let first_bad = ref (-1) in
-          List.iteri
-            (fun i (p : Core.Fault.prediction) ->
-              let expect =
-                if p.Core.Fault.outcome = `Corrupted then
-                  List.nth chaos_cells i
-                else List.nth ref_cells i
-              in
-              if List.nth cells2 i <> expect then begin
-                recovered := false;
-                if !first_bad < 0 then first_bad := i
-              end)
-            predictions;
-          check "fault-free resume recovers every quarantined cell"
-            !recovered
-            (fun () -> Printf.sprintf "cell %d" !first_bad);
-          Fmt.pr "chaos: resumed ledger written to %s@." resumed_path);
-        Core.Report.table5 Fmt.stdout rows;
-        if !violations > 0 then begin
-          Fmt.epr "chaos: %d invariant violation(s)@." !violations;
-          exit exit_failed
-        end;
-        if pred_quarantined <> [] then begin
-          Fmt.epr
-            "degraded: %d cell(s) quarantined (as planned); recover with: \
-             gpuwmm test --resume %s [same parameters]@."
-            (List.length pred_quarantined)
-            log;
-          exit exit_degraded
-        end)
+        check "fault-free resume recovers every quarantined cell"
+          !recovered
+          (fun () -> Printf.sprintf "cell %d" !first_bad);
+        Fmt.pr "chaos: resumed ledger written to %s@." resumed_path);
+      Core.Report.table5 Fmt.stdout rows;
+      if !violations > 0 then begin
+        Fmt.epr "chaos: %d invariant violation(s)@." !violations;
+        exit exit_failed
+      end;
+      if pred_quarantined <> [] then begin
+        Fmt.epr
+          "degraded: %d cell(s) quarantined (as planned); recover with: \
+           gpuwmm test --resume %s [same parameters]@."
+          (List.length pred_quarantined)
+          log;
+        exit exit_degraded
+      end
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -2042,7 +1912,7 @@ let chaos_cmd =
           campaign degraded as planned, 4 on an invariant violation or \
           abort.")
     Term.(
-      const run $ verbose $ quiet $ seed $ chip $ app_term $ runs $ env_name
+      const run $ verbose $ quiet $ seed $ chip $ apps_term $ runs $ env_term
       $ jobs_term $ log_term $ faults_term $ fault_rate $ fault_seed_term
       $ fault_attempts $ soft_rate $ timeout_term $ retries_term
       $ keep_going_term)
@@ -2410,15 +2280,6 @@ let serve_cmd =
 
 let submit_cmd =
   let runs = Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N") in
-  let env_name =
-    Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
-  in
-  let app_term =
-    Arg.(
-      value
-      & opt (some app_conv) None
-      & info [ "app" ] ~docv:"APP" ~doc:"Single application (default: all).")
-  in
   let workers =
     Arg.(
       value & opt int 2
@@ -2447,23 +2308,16 @@ let submit_cmd =
   let run verbose quiet addr port seed chip app runs env_name workers
       priority max_attempts wait =
     setup_log ~quiet verbose;
+    let spec = test_spec ~seed ~chip ~app ~runs ~env:env_name in
     let body =
       Core.Json.to_string
         (Core.Json.Assoc
-           ([ ("kind", Core.Json.String "test");
-              ("chip", Core.Json.String chip.Gpusim.Chip.name) ]
-           @ (match app with
-             | Some a -> [ ("app", Core.Json.String a.Apps.App.name) ]
-             | None -> [])
-           @ [ ("runs", Core.Json.Int runs);
-               ("env", Core.Json.String env_name);
-               ("seed", Core.Json.Int seed);
-               ("workers", Core.Json.Int workers);
+           (Core.Json.fields (Core.Spec.to_json spec)
+           @ [ ("workers", Core.Json.Int workers);
                ("priority", Core.Json.Int priority) ]
-           @
-           match max_attempts with
-           | Some n -> [ ("max_attempts", Core.Json.Int n) ]
-           | None -> []))
+           @ Option.fold ~none:[]
+               ~some:(fun n -> [ ("max_attempts", Core.Json.Int n) ])
+               max_attempts))
     in
     let status, resp =
       fetch_or_die ~meth:"POST" ~body ~addr ~port "/submit"
@@ -2550,7 +2404,7 @@ let submit_cmd =
           over HTTP.")
     Term.(
       const run $ verbose $ quiet $ addr_term $ port_term $ seed $ chip
-      $ app_term $ runs $ env_name $ workers $ priority $ max_attempts
+      $ apps_term $ runs $ env_term $ workers $ priority $ max_attempts
       $ wait)
 
 let jobs_cmd =
@@ -2584,15 +2438,16 @@ let jobs_cmd =
             let jint k =
               Option.bind (Core.Json.member k item) Core.Json.to_int
             in
-            Fmt.pr "%-8s %-9s %d/%d shard(s)  %s %s runs=%d seed=%d%s@."
+            Fmt.pr "%-8s %-9s %d/%d shard(s)  %s%s@."
               (Option.value (jstr "id") ~default:"?")
               (Option.value (jstr "status") ~default:"?")
               (Option.value (jint "shards_done") ~default:0)
               (Option.value (jint "workers") ~default:0)
-              (Option.value (jstr "chip") ~default:"?")
-              (Option.value (jstr "env") ~default:"?")
-              (Option.value (jint "runs") ~default:0)
-              (Option.value (jint "seed") ~default:0)
+              (match Core.Spec.of_json item with
+              | Ok { kind = Test { chip; env; runs; _ }; seed } ->
+                Printf.sprintf "%s %s runs=%d seed=%d" chip env runs seed
+              | Ok spec -> String.concat " " (Core.Spec.to_argv spec)
+              | Error e -> e)
               (match jstr "ledger" with
               | Some l -> "  ledger " ^ l
               | None -> ""))

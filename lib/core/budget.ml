@@ -54,6 +54,10 @@ let scale_runs t f =
     runs_spread = s t.runs_spread;
     noise_threshold = eps_for (s t.runs_patch) }
 
+let of_flags ~full ~runs_scale =
+  let b = if full then paper else default in
+  if runs_scale = 1.0 then b else scale_runs b runs_scale
+
 let to_json t =
   let ints ns = Json.List (List.map (fun n -> Json.Int n) ns) in
   Json.Assoc
@@ -69,3 +73,4 @@ let to_json t =
       ("max_spread", Json.Int t.max_spread);
       ("spread_step", Json.Int t.spread_step);
       ("noise_threshold", Json.Int t.noise_threshold) ]
+

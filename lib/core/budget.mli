@@ -31,6 +31,11 @@ val scale_runs : t -> float -> t
 (** Multiply all per-point execution counts (and the noise threshold)
     by a factor, for CLI [--runs-scale]. *)
 
+val of_flags : full:bool -> runs_scale:float -> t
+(** The budget of the CLI's [--full] and [--runs-scale F] flags:
+    {!paper} or {!default}, with per-point counts scaled by [F] unless
+    it is 1. *)
+
 val to_json : t -> Json.t
 (** Every field, for run-ledger headers: a resumed campaign refuses a
     ledger whose recorded budget differs from the invocation's. *)

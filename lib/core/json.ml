@@ -292,6 +292,7 @@ let of_string s =
 (* Accessors                                                            *)
 
 let member key = function Assoc kvs -> List.assoc_opt key kvs | _ -> None
+let fields = function Assoc kvs -> kvs | _ -> []
 let to_bool = function Bool b -> Some b | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 

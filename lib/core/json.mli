@@ -35,6 +35,9 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup in an [Assoc]; [None] elsewhere. *)
 
+val fields : t -> (string * t) list
+(** An [Assoc]'s members in order; [[]] elsewhere. *)
+
 val to_bool : t -> bool option
 (** The payload of a [Bool]; [None] otherwise. *)
 

@@ -236,55 +236,40 @@ let merge_phase srcs phase =
    finished by `--resume`, which replays every job from cache and only
    re-runs the reduce. *)
 let reconstruct_result header (jobs : Runlog.job list) =
-  let grid = header.Runlog.grid in
-  let strs key =
-    match Json.member key grid with
-    | Some (Json.List xs) -> Some (List.filter_map Json.to_str xs)
+  let n_apps = List.length Apps.Registry.all in
+  let layout (spec : Spec.t) =
+    match spec.Spec.kind with
+    | Spec.Test { chip; env; app; _ } ->
+      Some ([ chip ], [ env ], if app = None then n_apps else 1)
+    | Spec.Table { chips; _ } ->
+      (* Table 5 sweeps every application under the fixed 8
+         environments, whose labels do not depend on the chip. *)
+      let tuned = Tuning.shipped ~chip:Gpusim.Chip.k20 in
+      Some
+        ( chips,
+          List.map (fun e -> e.Environment.label) (Environment.all ~tuned),
+          n_apps )
     | _ -> None
   in
-  match header.Runlog.campaign with
-  | "test" | "table5" -> (
-    let cells_r =
-      List.filter (fun (j : Runlog.job) -> j.Runlog.phase = "campaign") jobs
-    in
+  let* layout =
+    match header.Runlog.campaign with
+    | "test" | "table5" -> Result.map layout (Spec.of_header header)
+    | _ -> Ok None
+  in
+  match layout with
+  | None -> Ok None
+  | Some (chips, envs, apps_per_row) ->
     let* cells =
-      List.fold_left
-        (fun acc (j : Runlog.job) ->
-          let* acc = acc in
-          match Campaign.cell_of_json j.Runlog.result with
-          | Ok c -> Ok (c :: acc)
-          | Error e -> err "campaign job %d does not decode: %s" j.Runlog.index e)
-        (Ok []) cells_r
-    in
-    let cells = List.rev cells in
-    let* chips =
-      match strs "chips" with
-      | Some cs when cs <> [] -> Ok cs
-      | _ -> Error "grid has no chips list"
-    in
-    let envs =
-      match strs "envs" with
-      | Some es when es <> [] -> es
-      | _ ->
-        (* Table 5 grids don't list environments: the driver uses the
-           fixed 8-environment sweep, whose labels are chip-independent. *)
-        let chip =
-          match Option.bind (List.nth_opt chips 0) Gpusim.Chip.by_name with
-          | Some c -> c
-          | None -> List.hd Gpusim.Chip.all
-        in
-        List.map
-          (fun e -> e.Environment.label)
-          (Environment.all ~tuned:(Tuning.shipped ~chip))
-    in
-    let apps_per_row =
-      match strs "apps" with
-      | Some apps when apps <> [] -> List.length apps
-      | _ -> List.length Apps.Registry.all
+      Runlog.Dec.all
+        (fun (j : Runlog.job) ->
+          Result.map_error
+            (Printf.sprintf "campaign job %d does not decode: %s"
+               j.Runlog.index)
+            (Campaign.cell_of_json j.Runlog.result))
+        (List.filter (fun (j : Runlog.job) -> j.Runlog.phase = "campaign") jobs)
     in
     let* rows = Campaign.rows_of_cells ~chips ~envs ~apps_per_row cells in
-    Ok (Some ("campaign", Campaign.rows_to_json rows)))
-  | _ -> Ok None
+    Ok (Some ("campaign", Campaign.rows_to_json rows))
 
 (* ------------------------------------------------------------------ *)
 (* The merge                                                            *)

@@ -74,64 +74,36 @@ let describe_exit = function
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" (posix_signal s)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign geometry                                                    *)
+(* Shard workers                                                        *)
 
-type plan = {
-  campaign : string;
-  seed : int;
-  grid : Json.t;
-  argv : k:int -> path:string -> string list;
-}
-
-(* The `gpuwmm test` shard: the worker argv and the parameter grid its
-   ledger header records.  Both the `-j N` driver and the serve daemon
-   spawn exactly this, so a merged ledger is byte-identical to a
-   single-process run and resume validation accepts either's shards. *)
-let test_plan ~exe (spec : Queue.spec) =
-  let apps =
-    match spec.app with
-    | Some a -> [ a ]
-    | None -> List.map (fun a -> a.Apps.App.name) Apps.Registry.all
-  in
-  let strs l = Json.List (List.map (fun s -> Json.String s) l) in
-  { campaign = spec.kind;
-    seed = spec.seed;
-    grid =
-      Json.Assoc
-        [ ("chips", strs [ spec.chip ]); ("envs", strs [ spec.env ]);
-          ("apps", strs apps); ("runs", Json.Int spec.runs) ];
-    argv =
-      (fun ~k ~path ->
-        [ exe; "test";
-          "--chip"; spec.chip;
-          "--runs"; string_of_int spec.runs;
-          "--env"; spec.env;
-          "--seed"; string_of_int spec.seed;
-          "-j"; "1"; "-q";
-          "--shard"; Printf.sprintf "%d/%d" k spec.workers;
-          "--log"; path ]
-        @ match spec.app with Some a -> [ "--app"; a ] | None -> []) }
+(* A shard worker is the CLI re-run on the campaign's own argv, one
+   domain, quiet, writing shard [k]'s ledger; the serve daemon and the
+   [-j N] driver spawn exactly this, so a merged ledger is
+   byte-identical to a single-process run. *)
+let worker_argv ~exe ~passthrough (spec : Queue.spec) ~k ~path =
+  (exe :: Spec.to_argv spec.campaign)
+  @ [ "-j"; "1"; "-q"; "--shard"; Printf.sprintf "%d/%d" k spec.workers;
+      "--log"; path ]
+  @ passthrough
 
 (* A shard ledger that loads and passes the same validation `--resume`
    applies (shard, campaign, seed, grid). *)
-let validated plan ~n ~k ~path =
-  match Runlog.load path with
-  | Error _ -> None
-  | Ok l -> (
-    match
-      Runlog.validate_resume
-        ~shard:(Printf.sprintf "%d/%d" k n)
-        l ~path ~campaign:plan.campaign ~seed:plan.seed ~grid:plan.grid
-    with
-    | Ok () -> Some l
-    | Error _ -> None)
+let validated (spec : Spec.t) ~n ~k ~path =
+  Result.bind (Runlog.load path) (fun l ->
+      Result.map
+        (fun () -> l)
+        (Runlog.validate_resume
+           ~shard:(Printf.sprintf "%d/%d" k n)
+           l ~path ~campaign:(Spec.campaign spec) ~seed:spec.seed
+           ~grid:(Spec.grid spec)))
 
 (* Fail-closed completeness: a shard counts as done only when its ledger
    validates and carries a footer (interrupted runs have none). *)
-let shard_outcome plan ~n ~k ~path =
-  match validated plan ~n ~k ~path with
-  | Some { Runlog.footer = Some f; _ } -> Some (f.Runlog.quarantined > 0)
-  | Some _ | None -> None
+let shard_outcome spec ~n ~k ~path =
+  match validated spec ~n ~k ~path with
+  | Ok { Runlog.footer = Some f; _ } -> Ok (f.Runlog.quarantined > 0)
+  | Ok _ -> Error "ledger incomplete"
+  | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* The supervisor                                                       *)
@@ -146,7 +118,7 @@ type t = {
   max_workers : int;
   lease_s : float;
   backoff_base_s : float;
-  plan_of : Queue.spec -> plan;
+  argv : Queue.spec -> k:int -> path:string -> string list;
   path_of : Queue.spec -> int -> string;
   state : unit -> Queue.state;
   emit : Queue.event -> unit;
@@ -159,13 +131,13 @@ type t = {
 }
 
 let supervisor ?(lease_s = infinity) ?(log = ignore) ~max_workers
-    ~backoff_base_s ~plan_of ~path_of ~state ~emit () =
+    ~backoff_base_s ~argv ~path_of ~state ~emit () =
   let poke_r, poke_w = Unix.pipe ~cloexec:true () in
   (* Non-blocking both ways: a burst of pokes must never block the
      poker on a full pipe, nor [wait]'s read an emptied one. *)
   Unix.set_nonblock poke_r;
   Unix.set_nonblock poke_w;
-  { max_workers; lease_s; backoff_base_s; plan_of; path_of; state; emit; log;
+  { max_workers; lease_s; backoff_base_s; argv; path_of; state; emit; log;
     children = Hashtbl.create 16; poke_r; poke_w }
 
 let pids t = Hashtbl.fold (fun _ c acc -> c.pid :: acc) t.children []
@@ -189,7 +161,7 @@ let rec reap c =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap c
 
 let outcome t (spec : Queue.spec) k =
-  shard_outcome (t.plan_of spec) ~n:spec.workers ~k ~path:(t.path_of spec k)
+  shard_outcome spec.campaign ~n:spec.workers ~k ~path:(t.path_of spec k)
 
 let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
   if attempt >= spec.max_attempts then begin
@@ -201,7 +173,7 @@ let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
   else begin
     let backoff =
       Queue.backoff_s ~base:t.backoff_base_s
-        ~seed:(Gpusim.Rng.subseed spec.seed k) ~attempt
+        ~seed:(Gpusim.Rng.subseed spec.campaign.Spec.seed k) ~attempt
     in
     t.log
       (Printf.sprintf "job %s shard %d/%d failed (%s); retry %d/%d in %.1fs"
@@ -220,11 +192,10 @@ let settle_exit t ~now (spec : Queue.spec) k ~attempt status =
     (* Trust but verify: exit 0 with an incomplete ledger (disk full,
        torn footer) must not mark the shard done. *)
     match outcome t spec k with
-    | Some degraded ->
+    | Ok degraded ->
       t.emit (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded })
-    | None ->
-      fail_shard t ~now spec k ~attempt
-        ~reason:"exited 0 but ledger incomplete")
+    | Error reason ->
+      fail_shard t ~now spec k ~attempt ~reason:("exited 0 but " ^ reason))
   | Unix.WEXITED 3 ->
     (* Degraded-but-whole, the exit-code-3 contract: quarantined jobs
        inside, ledger mergeable. *)
@@ -242,7 +213,6 @@ let kill_lease t ~now (spec : Queue.spec) k ~pid ~attempt ~reason =
 let spawn_lease t ~now (job : Queue.job) k =
   let spec = job.spec in
   let path = t.path_of spec k in
-  let plan = t.plan_of spec in
   let attempt =
     match Queue.shard_get job k with
     | Some (Queue.Pending { attempt; _ }) -> attempt + 1
@@ -252,9 +222,9 @@ let spawn_lease t ~now (job : Queue.job) k =
      only when that prefix still validates — a half-written header or a
      foreign file means a fresh start, not a wedged respawn loop. *)
   let argv =
-    plan.argv ~k ~path
+    t.argv spec ~k ~path
     @
-    if validated plan ~n:spec.workers ~k ~path <> None then
+    if Result.is_ok (validated spec.campaign ~n:spec.workers ~k ~path) then
       [ "--resume"; path ]
     else []
   in
@@ -355,11 +325,11 @@ let tick t =
            after a crash that actually landed the footer); recognise it
            instead of re-running. *)
         (match outcome t job.spec k with
-        | Some degraded ->
+        | Ok degraded ->
           t.emit
             (Queue.Shard_done
                { t = now; id = job.spec.id; shard = k; degraded })
-        | None -> spawn_lease t ~now job k);
+        | Error _ -> spawn_lease t ~now job k);
         assign ()
   in
   assign ()
@@ -488,22 +458,20 @@ let cleanup paths =
 (* The one-job driver behind `-j N`: an in-memory queue with no journal
    and no lease deadline, ticked after every [wait] until every shard
    settles. *)
-let run ~paths plan =
+let run ~paths ~argv campaign =
   (* A fresh campaign never adopts shard ledgers or heartbeats an
      earlier invocation left at these paths. *)
   cleanup paths;
   let n = List.length paths in
   let paths = Array.of_list paths in
   let spec =
-    { Queue.id = plan.campaign; kind = plan.campaign; chip = ""; app = None;
-      runs = 0; env = ""; seed = plan.seed; workers = n; priority = 0;
+    { Queue.id = Spec.campaign campaign; campaign; workers = n; priority = 0;
       max_attempts = default_max_attempts }
   in
   let st = ref (Queue.apply Queue.empty (Queue.Submitted { t = 0.0; spec })) in
   let t =
     supervisor ~log:Exec.info ~max_workers:n
-      ~backoff_base_s:default_backoff_base_s
-      ~plan_of:(fun _ -> plan)
+      ~backoff_base_s:default_backoff_base_s ~argv
       ~path_of:(fun _ k -> paths.(k - 1))
       ~state:(fun () -> !st)
       ~emit:(fun ev -> st := Queue.apply !st ev)
@@ -534,9 +502,16 @@ let run ~paths plan =
     end
   in
   (* Nothing else can poke this supervisor, so its pipes go with it.
-     An interrupt leaves the workers to their own signal handlers, as
-     before. *)
-  Fun.protect ~finally:(fun () -> close t) (fun () -> loop 0.0)
+     An interrupt (SIGTERM to this process alone) must not orphan the
+     workers: they are stopped first, and flush resumable prefixes. *)
+  match loop 0.0 with
+  | shards ->
+    close t;
+    shards
+  | exception e ->
+    stop t;
+    close t;
+    raise e
 
 (* Union resume cache over whatever shard ledgers made it to disk.  A
    shard that exhausted its attempts may be unreadable or half-written;

@@ -22,27 +22,28 @@ val shard_paths : ?log:string -> n:int -> unit -> string list
     [--log] (durable, uploadable artifacts), fresh temp files
     otherwise. *)
 
-(** {1 Campaign geometry} *)
+(** {1 Shard workers} *)
 
-(** What a shard worker runs and what its ledger must record. *)
-type plan = {
-  campaign : string;  (** ledger header campaign kind *)
-  seed : int;
-  grid : Json.t;  (** the parameter grid {!Runlog.validate_resume} checks *)
-  argv : k:int -> path:string -> string list;
-      (** shard [k]'s worker argv writing ledger [path], [argv.(0)]
-          included (it is also the program spawned) *)
-}
+val worker_argv :
+  exe:string ->
+  passthrough:string list ->
+  Queue.spec ->
+  k:int ->
+  path:string ->
+  string list
+(** Shard [k]'s worker writing ledger [path]: [exe], {!Spec.to_argv}
+    of the spec's campaign, [-j 1 -q --shard k/N --log path] with [N]
+    the spec's [workers], then [passthrough] (supervision and
+    observability flags).  [exe] is also the program spawned. *)
 
-val test_plan : exe:string -> Queue.spec -> plan
-(** The [gpuwmm test] campaign of a spec, sharded [spec.workers] ways:
-    [exe test --chip .. --shard k/N --log path] and its grid. *)
-
-val shard_outcome : plan -> n:int -> k:int -> path:string -> bool option
+val shard_outcome :
+  Spec.t -> n:int -> k:int -> path:string -> (bool, string) result
 (** Fail-closed completeness of shard [k/n]'s ledger at [path]:
-    [Some degraded] when it loads, carries a footer and passes
-    {!Runlog.validate_resume} against the plan ([degraded] = some job
-    was quarantined), [None] otherwise. *)
+    [Ok degraded] when it loads, passes {!Runlog.validate_resume}
+    against the spec and carries a footer ([degraded] = some job was
+    quarantined).  Otherwise the load or validation error, which names
+    [path] and the mismatched field, or ["ledger incomplete"] for a
+    ledger without a footer. *)
 
 (** {1 The supervisor} *)
 
@@ -53,7 +54,7 @@ val supervisor :
   ?log:(string -> unit) ->
   max_workers:int ->
   backoff_base_s:float ->
-  plan_of:(Queue.spec -> plan) ->
+  argv:(Queue.spec -> k:int -> path:string -> string list) ->
   path_of:(Queue.spec -> int -> string) ->
   state:(unit -> Queue.state) ->
   emit:(Queue.event -> unit) ->
@@ -62,13 +63,14 @@ val supervisor :
 (** A supervisor over the queue [state ()], which must reflect every
     event passed to [emit].  [lease_s] (default: no deadline) bounds a
     lease's wall clock; [log] receives one line per lease, retry and
-    quarantine. *)
+    quarantine; [argv] is a shard's worker, normally {!worker_argv}. *)
 
 val tick : t -> unit
 (** One supervision step:
-    + reap exited workers — exit 0 with a {!shard_outcome} is
+    + reap exited workers — exit 0 with an [Ok] {!shard_outcome} is
       [Shard_done], exit 3 is [Shard_done] degraded, anything else
-      (including exit 0 without a valid footer) fails the attempt;
+      fails the attempt (exit 0 with the outcome's error as the
+      reason, ["exited 0 but ..."]);
     + kill leases past their deadline or whose worker's heartbeat
       classifies [Dead], failing the attempt;
     + lease ripe shards ({!Queue.next_lease}) up to [max_workers] live
@@ -117,13 +119,18 @@ val default_backoff_base_s : float
 (** [0.5]: the {!Queue.backoff_s} base of [-j N] retries and the serve
     daemon's default. *)
 
-val run : paths:string list -> plan -> Queue.shard_state array
+val run :
+  paths:string list ->
+  argv:(Queue.spec -> k:int -> path:string -> string list) ->
+  Spec.t ->
+  Queue.shard_state array
 (** Supervise one campaign sharded [List.length paths] ways, shard [k]
     writing the [k]-th path, over an in-memory queue (no journal, no
     lease deadline) with {!default_max_attempts} and
     {!default_backoff_base_s}, {!wait}ing between ticks until every
     shard is [Done] or [Quarantined]; the result holds shard [k] at
-    index [k-1].  Files an
+    index [k-1].  An exception (an interrupt) {!stop}s the workers
+    before it propagates, so none outlives the caller.  Files an
     earlier invocation left at [paths] (ledgers and sidecars, see
     {!cleanup}) are removed first, so a fresh campaign never adopts
     them.  Lease, retry and quarantine lines and a

@@ -10,12 +10,7 @@
 
 type spec = {
   id : string;
-  kind : string;
-  chip : string;
-  app : string option;
-  runs : int;
-  env : string;
-  seed : int;
+  campaign : Spec.t;
   workers : int;
   priority : int;
   max_attempts : int;
@@ -51,19 +46,19 @@ type event =
 (* ------------------------------------------------------------------ *)
 (* Codec                                                                *)
 
-let spec_to_fields s =
+let spec_to_json s =
   let open Json in
-  ("id", String s.id) :: ("kind", String s.kind) :: ("chip", String s.chip)
-  :: (match s.app with Some a -> [ ("app", String a) ] | None -> [])
-  @ [ ("runs", Int s.runs); ("env", String s.env); ("seed", Int s.seed);
-      ("workers", Int s.workers); ("priority", Int s.priority);
-      ("max_attempts", Int s.max_attempts) ]
+  Assoc
+    ((("id", String s.id) :: fields (Spec.to_json s.campaign))
+    @ [ ("workers", Int s.workers); ("priority", Int s.priority);
+        ("max_attempts", Int s.max_attempts) ])
 
 let event_to_json ev =
   let open Json in
   match ev with
   | Submitted { t; spec } ->
-    Assoc (("ev", String "submit") :: ("t", Float t) :: spec_to_fields spec)
+    Assoc
+      (("ev", String "submit") :: ("t", Float t) :: fields (spec_to_json spec))
   | Leased { t; id; shard; pid; attempt; deadline } ->
     Assoc
       [ ("ev", String "lease"); ("t", Float t); ("id", String id);
@@ -92,16 +87,11 @@ let event_to_json ev =
 let spec_of_json j =
   let open Runlog.Dec in
   let* id = str "id" j in
-  let* kind = str "kind" j in
-  let* chip = str "chip" j in
-  let* app = opt_str "app" j in
-  let* runs = int "runs" j in
-  let* env = str "env" j in
-  let* seed = int "seed" j in
+  let* campaign = Spec.of_json j in
   let* workers = int "workers" j in
   let* priority = int "priority" j in
   let* max_attempts = int "max_attempts" j in
-  Ok { id; kind; chip; app; runs; env; seed; workers; priority; max_attempts }
+  Ok { id; campaign; workers; priority; max_attempts }
 
 let event_of_json j =
   let open Runlog.Dec in

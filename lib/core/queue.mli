@@ -18,12 +18,7 @@
     units (see {!Shard}).  [id] is assigned by the daemon. *)
 type spec = {
   id : string;
-  kind : string;  (** campaign kind; ["test"] today *)
-  chip : string;
-  app : string option;  (** [None] = all registered applications *)
-  runs : int;
-  env : string;
-  seed : int;
+  campaign : Spec.t;  (** what runs; the serve daemon admits [test] only *)
   workers : int;  (** shard count [N]; one work unit per shard *)
   priority : int;  (** higher leases first *)
   max_attempts : int;  (** lease attempts before a shard quarantines *)
@@ -55,6 +50,11 @@ type event =
       status : string;  (** ["done"], ["degraded"] or ["failed"] *)
       ledger : string option;  (** the merged ledger, when one was written *)
     }
+
+val spec_to_json : spec -> Json.t
+(** [id], then {!Spec.to_json}'s fields, then [workers], [priority]
+    and [max_attempts]: the [submit] journal line and a [/jobs] entry
+    share this field order. *)
 
 val event_to_json : event -> Json.t
 

@@ -47,88 +47,45 @@ let default =
     quiet = false }
 
 (* ------------------------------------------------------------------ *)
-(* State-directory layout; the shard geometry is {!Procs.test_plan}.    *)
+(* State-directory layout; a shard's worker is {!Procs.worker_argv}.    *)
 
 let ledger_path cfg id = Filename.concat cfg.dir (id ^ ".jsonl")
 let shard_path cfg (spec : Queue.spec) k =
   Printf.sprintf "%s.shard%d" (ledger_path cfg spec.id) k
 let journal_path cfg = Filename.concat cfg.dir "queue.jsonl"
 
-(* The only way a shard is ever marked Done without the daemon having
-   watched its worker exit — restart reconciliation. *)
-let shard_outcome cfg (spec : Queue.spec) k =
-  Procs.shard_outcome
-    (Procs.test_plan ~exe:cfg.exe spec)
-    ~n:spec.workers ~k ~path:(shard_path cfg spec k)
-
 (* ------------------------------------------------------------------ *)
 (* Submission parsing                                                   *)
 
-let parse_submission ~default_max_attempts body : (Queue.spec, string) result
-    =
-  match Json.of_string body with
-  | Error e -> Error (Printf.sprintf "body is not JSON: %s" e)
-  | Ok j ->
-    let str k d =
-      match Json.member k j with
-      | None -> Ok d
-      | Some v -> (
-        match Json.to_str v with
-        | Some s -> Ok s
-        | None -> Error (Printf.sprintf "field %s is not a string" k))
-    in
-    let int k d =
-      match Json.member k j with
-      | None -> Ok d
-      | Some v -> (
-        match Json.to_int v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "field %s is not an integer" k))
-    in
-    let ( let* ) = Result.bind in
-    let* kind = str "kind" "test" in
-    let* chip = str "chip" "" in
-    let* app =
-      match Json.member "app" j with
-      | None -> Ok None
-      | Some v -> (
-        match Json.to_str v with
-        | Some s -> Ok (Some s)
-        | None -> Error "field app is not a string")
-    in
-    let* runs = int "runs" 100 in
-    let* env = str "env" "sys-str+" in
-    let* seed = int "seed" 42 in
-    let* workers = int "workers" 2 in
-    let* priority = int "priority" 0 in
-    let* max_attempts = int "max_attempts" default_max_attempts in
-    if kind <> "test" then
-      Error (Printf.sprintf "unsupported campaign kind %S (only \"test\")" kind)
-    else if chip = "" then Error "missing required field chip"
-    else if runs < 1 then Error "runs must be >= 1"
-    else if workers < 1 || workers > Shard.max_shards then
-      (* Beyond the bound every shard worker would refuse its
-         --shard k/N argv, only after the daemon spawned them all. *)
-      Error (Printf.sprintf "workers must be in 1..%d" Shard.max_shards)
-    else if max_attempts < 1 then Error "max_attempts must be >= 1"
-    else
-      match Gpusim.Chip.by_name chip with
-      | None -> Error (Printf.sprintf "unknown chip %S" chip)
-      | Some c -> (
-        let envs =
-          Environment.all ~tuned:(Tuning.shipped ~chip:c)
-        in
-        if not (List.exists (fun e -> e.Environment.label = env) envs) then
-          Error (Printf.sprintf "unknown environment %S" env)
-        else
-          match app with
-          | Some a when Apps.Registry.by_name a = None ->
-            Error (Printf.sprintf "unknown application %S" a)
-          | _ ->
-            Ok
-              { Queue.id = "";  (* assigned under the state mutex *)
-                kind; chip; app; runs; env; seed; workers; priority;
-                max_attempts })
+let parse_submission ~default_max_attempts body =
+  let open Runlog.Dec in
+  let* j =
+    Result.map_error
+      (Printf.sprintf "body is not JSON: %s")
+      (Json.of_string body)
+  in
+  let* kind = opt_str "kind" j in
+  let* campaign =
+    match kind with
+    | None | Some "test" -> Spec.of_json j
+    | Some k ->
+      Error (Printf.sprintf "unsupported campaign kind %S (only \"test\")" k)
+  in
+  let* workers = opt_int "workers" j in
+  let* priority = opt_int "priority" j in
+  let* max_attempts = opt_int "max_attempts" j in
+  let workers = Option.value workers ~default:2 in
+  let max_attempts = Option.value max_attempts ~default:default_max_attempts in
+  if workers < 1 || workers > Shard.max_shards then
+    (* Beyond the bound every shard worker would refuse its
+       --shard k/N argv, only after the daemon spawned them all. *)
+    Error (Printf.sprintf "workers must be in 1..%d" Shard.max_shards)
+  else if max_attempts < 1 then Error "max_attempts must be >= 1"
+  else
+    Ok
+      { Queue.id = "";  (* assigned under the state mutex *)
+        campaign; workers; max_attempts;
+        priority = Option.value priority ~default:0 }
 
 (* ------------------------------------------------------------------ *)
 (* JSON views                                                           *)
@@ -153,7 +110,6 @@ let shard_state_json (s : Queue.shard_state) =
 
 let job_json (j : Queue.job) =
   let open Json in
-  let s = j.spec in
   let sdone =
     Array.fold_left
       (fun acc st -> match st with Queue.Done _ -> acc + 1 | _ -> acc)
@@ -167,12 +123,8 @@ let job_json (j : Queue.job) =
               then "queued" else "running"
   in
   Assoc
-    ([ ("id", String s.id); ("kind", String s.kind); ("chip", String s.chip) ]
-    @ (match s.app with Some a -> [ ("app", String a) ] | None -> [])
-    @ [ ("runs", Int s.runs); ("env", String s.env); ("seed", Int s.seed);
-        ("workers", Int s.workers); ("priority", Int s.priority);
-        ("max_attempts", Int s.max_attempts); ("status", String status);
-        ("shards_done", Int sdone) ]
+    (fields (Queue.spec_to_json j.spec)
+    @ [ ("status", String status); ("shards_done", Int sdone) ]
     @ (match j.ledger with Some l -> [ ("ledger", String l) ] | None -> [])
     @ [ ("shards", List (Array.to_list (Array.map shard_state_json j.shards)))
       ])
@@ -271,49 +223,45 @@ let run cfg =
             Array.iteri
               (fun i sstate ->
                 let k = i + 1 in
+                let outcome () =
+                  Procs.shard_outcome job.spec.campaign ~n:job.spec.workers
+                    ~k ~path:(shard_path cfg job.spec k)
+                in
                 match sstate with
-                | Queue.Leased { attempt; _ } -> (
-                  (* The lease's worker belonged to the previous daemon
-                     process.  Its ledger is the only witness: complete
-                     ledger means the work survived the crash, anything
-                     else means the lease is revoked and the shard goes
-                     back to the queue. *)
-                  match shard_outcome cfg job.spec k with
-                  | Some degraded ->
+                | Queue.Done _ | Queue.Quarantined _ -> ()
+                | Queue.Leased _ | Queue.Pending _ -> (
+                  (* The ledger is the only witness.  A complete one means
+                     the work survived the crash, also when the daemon
+                     died between a worker's clean exit and the
+                     Shard_done append.  Otherwise a lease belonged to
+                     the previous daemon process: it is revoked and the
+                     shard goes back to the queue. *)
+                  match (outcome (), sstate) with
+                  | Ok degraded, _ ->
                     emit
                       (Queue.Shard_done
                          { t = now; id = job.spec.id; shard = k; degraded })
-                  | None ->
-                    if attempt >= job.spec.max_attempts then
-                      emit
-                        (Queue.Quarantined
-                           { t = now; id = job.spec.id; shard = k;
-                             reason = "lease revoked on restart; attempts \
-                                       exhausted" })
-                    else
-                      emit
-                        (Queue.Requeued
-                           { t = now; id = job.spec.id; shard = k; attempt;
-                             reason = "lease revoked on restart";
-                             not_before = now }))
-                | Queue.Pending _ -> (
-                  (* The daemon may have died between a worker's clean
-                     exit and the Shard_done append; the ledger closes
-                     that window too. *)
-                  match shard_outcome cfg job.spec k with
-                  | Some degraded ->
+                  | Error _, Queue.Leased { attempt; _ }
+                    when attempt >= job.spec.max_attempts ->
                     emit
-                      (Queue.Shard_done
-                         { t = now; id = job.spec.id; shard = k; degraded })
-                  | None -> ())
-                | Queue.Done _ | Queue.Quarantined _ -> ())
+                      (Queue.Quarantined
+                         { t = now; id = job.spec.id; shard = k;
+                           reason = "lease revoked on restart; attempts \
+                                     exhausted" })
+                  | Error _, Queue.Leased { attempt; _ } ->
+                    emit
+                      (Queue.Requeued
+                         { t = now; id = job.spec.id; shard = k; attempt;
+                           reason = "lease revoked on restart";
+                           not_before = now })
+                  | Error _, _ -> ()))
               job.shards)
         !st.Queue.jobs
     in
     let sup =
       Procs.supervisor ~lease_s:cfg.lease_s ~log:(log "%s")
         ~max_workers:cfg.max_workers ~backoff_base_s:cfg.backoff_base_s
-        ~plan_of:(Procs.test_plan ~exe:cfg.exe)
+        ~argv:(Procs.worker_argv ~exe:cfg.exe ~passthrough:[])
         ~path_of:(shard_path cfg)
         ~state:(fun () -> !st)
         ~emit ()
@@ -404,10 +352,9 @@ let run cfg =
                   (Queue.Submitted { t = Unix.gettimeofday (); spec });
                 (* Lease it now, not at the lease loop's next ceiling. *)
                 Procs.poke sup;
-                log "job %s submitted: %s %s runs=%d seed=%d workers=%d \
-                     priority=%d"
-                  id spec.Queue.chip spec.Queue.env spec.Queue.runs
-                  spec.Queue.seed spec.Queue.workers spec.Queue.priority;
+                log "job %s submitted: %s workers=%d priority=%d" id
+                  (String.concat " " (Spec.to_argv spec.Queue.campaign))
+                  spec.Queue.workers spec.Queue.priority;
                 Json.to_string
                   (Json.Assoc
                      [ ("id", Json.String id);

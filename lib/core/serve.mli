@@ -53,9 +53,11 @@ val default : config
 val parse_submission :
   default_max_attempts:int -> string -> (Queue.spec, string) result
 (** Validate a [POST /submit] JSON body into a spec with an empty id:
-    known chip, environment and application, [runs >= 1],
-    [1 <= workers <= ]{!Shard.max_shards}, [max_attempts >= 1].  The
-    error is the text of the 400 reply. *)
+    a [test] campaign ({!Spec.of_json}: known chip, environment and
+    application, stored in the registries' spelling, [runs >= 1]) and
+    the queue fields, [1 <= workers <= ]{!Shard.max_shards} (default 2),
+    [priority] (default 0) and [max_attempts >= 1] (default
+    [default_max_attempts]).  The error is the text of the 400 reply. *)
 
 val run : config -> int
 (** Run the daemon until a signal (or, with [until_idle], until the

@@ -179,10 +179,6 @@ let c2050 =
 
 let all = [ gtx980; k5200; titan; k20; gtx770; c2075; c2050 ]
 
-let by_name name =
-  let target = String.lowercase_ascii name in
-  List.find_opt (fun c -> String.lowercase_ascii c.name = target) all
-
 let sequential =
   { name = "SC"; full_name = "sequentially consistent reference";
     architecture = Maxwell; released = 0; warp_size = 4;
@@ -194,3 +190,9 @@ let sequential =
         st_delay_w = 0.0; ld_delay_w = 0.0; cross = 0.0;
         same_patch_leak = 0.0 };
     cost = modern_cost }
+
+let by_name name =
+  let target = String.lowercase_ascii name in
+  List.find_opt
+    (fun c -> String.lowercase_ascii c.name = target)
+    (sequential :: all)

@@ -100,10 +100,11 @@ val c2050 : t
 val all : t list
 (** The seven chips in the order of Table 1. *)
 
-val by_name : string -> t option
-(** Case-insensitive lookup by short name ("980", "K20", ...). *)
-
 val sequential : t
 (** A fictional sequentially-consistent chip: no commit deferral, no
     reordering.  Used by tests as a strong-memory oracle and by
     applications to compute reference results. *)
+
+val by_name : string -> t option
+(** Case-insensitive lookup by short name: ("980", "K20", ...) or "SC"
+    for {!sequential}. *)

@@ -133,9 +133,14 @@ let queue_event k : Core.Queue.event =
     Core.Queue.Submitted
       { t = float_of_int k;
         spec =
-          { Core.Queue.id = Printf.sprintf "job-%d" k; kind = "test";
-            chip = "K20"; app = Some "cbe-dot"; runs = 40; env = "sys-str+";
-            seed = 7; workers = 2; priority = 0; max_attempts = 3 } }
+          { Core.Queue.id = Printf.sprintf "job-%d" k;
+            campaign =
+              { kind =
+                  Test
+                    { chip = "K20"; app = Some "cbe-dot"; runs = 40;
+                      env = "sys-str+" };
+                seed = 7 };
+            workers = 2; priority = 0; max_attempts = 3 } }
   | 1 ->
     Core.Queue.Leased
       { t = float_of_int k; id = "job-0"; shard = 1; pid = 40 + k;

@@ -5,7 +5,12 @@
    footer, exit 3, plain failure — against template shard ledgers. *)
 
 let seed = 7
-let grid = Core.Json.Assoc [ ("runs", Core.Json.Int 1) ]
+
+(* The campaign every stub shard ledger records. *)
+let campaign =
+  { Core.Spec.kind =
+      Test { chip = "K20"; env = "sys-str+"; app = Some "cbe-dot"; runs = 1 };
+    seed }
 
 let temp_dir () =
   let d = Filename.temp_file "gpuwmm-procs" "" in
@@ -22,20 +27,22 @@ let with_dir f =
   Fun.protect ~finally:(fun () -> try rm_rf d with Sys_error _ -> ()) (fun () ->
       f d)
 
-(* A ledger shard k/n of the stub campaign: header only (an interrupted
-   prefix) or closed with a footer (complete). *)
-let write_ledger ~path ~k ~n ~complete =
+(* A ledger shard k/n of the stub campaign, or of [spec]: header only
+   (an interrupted prefix) or closed with a footer (complete). *)
+let write_ledger ?(spec = campaign) ~path ~k ~n ~complete () =
   let h =
     Core.Runlog.make_header ~shard:(Printf.sprintf "%d/%d" k n)
-      ~campaign:"stub" ~seed ~grid ()
+      ~campaign:(Core.Spec.campaign spec) ~seed:spec.Core.Spec.seed
+      ~grid:(Core.Spec.grid spec) ()
   in
   let sink = Core.Runlog.create ~deterministic:true ~path h in
   if complete then Core.Runlog.close sink else Core.Runlog.abort sink
 
-(* $1 ledger, $2 the action script, $3/$4 partial/complete templates;
-   invocation i plays the i-th action. *)
+(* $1 ledger, $2 the action script, $3/$4 partial/complete templates,
+   $5 a complete ledger of another grid; invocation i plays the i-th
+   action. *)
 let script =
-  {|path=$1; part=$3; full=$4
+  {|path=$1; part=$3; full=$4; other=$5
 echo "respawn=${GPUWMM_RESPAWN:-0} $*" >> "$path.calls"
 n=$(wc -l < "$path.calls")
 set -- $2
@@ -46,6 +53,8 @@ case "$1" in
   fullcrash) cp "$full" "$path"; kill -9 $$ ;;
   partial0) cp "$part" "$path"; exit 0 ;;
   done) cp "$full" "$path"; exit 0 ;;
+  othergrid) cp "$other" "$path"; exit 0 ;;
+  pidhang) echo $$ > "$path.pid"; exec sleep 30 ;;
   degraded) exit 3 ;;
   hang) exec sleep 30 ;;
   fds) ls -l /proc/$$/fd > "$path.fds"; cp "$full" "$path"; exit 0 ;;
@@ -53,20 +62,22 @@ case "$1" in
   *) exit 1 ;;
 esac|}
 
-(* Shard k plays [actions_of k]. *)
+(* The worker argv of shard k, which plays [actions_of k]. *)
 let plan_by_shard dir ~n ~actions_of =
+  let other =
+    { campaign with
+      kind = Test { chip = "K20"; env = "sys-str+"; app = None; runs = 1 } }
+  in
   for k = 1 to n do
     let t name = Filename.concat dir (Printf.sprintf "%s%d" name k) in
-    write_ledger ~path:(t "part") ~k ~n ~complete:false;
-    write_ledger ~path:(t "full") ~k ~n ~complete:true
+    write_ledger ~path:(t "part") ~k ~n ~complete:false ();
+    write_ledger ~path:(t "full") ~k ~n ~complete:true ();
+    write_ledger ~spec:other ~path:(t "other") ~k ~n ~complete:true ()
   done;
-  { Core.Procs.campaign = "stub"; seed; grid;
-    argv =
-      (fun ~k ~path ->
-        let t name = Filename.concat dir (Printf.sprintf "%s%d" name k) in
-        [ "/bin/sh"; "-c"; script; "stub"; path; actions_of k; t "part";
-          t "full" ])
-  }
+  fun (_ : Core.Queue.spec) ~k ~path ->
+    let t name = Filename.concat dir (Printf.sprintf "%s%d" name k) in
+    [ "/bin/sh"; "-c"; script; "stub"; path; actions_of k; t "part";
+      t "full"; t "other" ]
 
 let plan dir ~n ~actions = plan_by_shard dir ~n ~actions_of:(fun _ -> actions)
 
@@ -93,11 +104,10 @@ let terminal =
     | _ -> false)
 
 (* A supervisor over a one-job queue, recording the events it emits. *)
-let supervise ~max_attempts ~paths plan =
+let supervise ~max_attempts ~paths argv =
   let n = List.length paths in
   let spec =
-    { Core.Queue.id = "job"; kind = "stub"; chip = ""; app = None; runs = 0;
-      env = ""; seed; workers = n; priority = 0; max_attempts }
+    { Core.Queue.id = "job"; campaign; workers = n; priority = 0; max_attempts }
   in
   let st =
     ref
@@ -106,8 +116,7 @@ let supervise ~max_attempts ~paths plan =
   in
   let events = ref [] in
   let sup =
-    Core.Procs.supervisor ~max_workers:n ~backoff_base_s:0.01
-      ~plan_of:(fun _ -> plan)
+    Core.Procs.supervisor ~max_workers:n ~backoff_base_s:0.01 ~argv
       ~path_of:(fun _ k -> List.nth paths (k - 1))
       ~state:(fun () -> !st)
       ~emit:(fun ev ->
@@ -119,8 +128,8 @@ let supervise ~max_attempts ~paths plan =
 
 (* Run [f] on a fresh supervisor; stop its workers and close its
    descriptors after, so no test leaks either into the next. *)
-let with_supervisor ~max_attempts ~paths plan f =
-  let sup, st, events = supervise ~max_attempts ~paths plan in
+let with_supervisor ~max_attempts ~paths argv f =
+  let sup, st, events = supervise ~max_attempts ~paths argv in
   Fun.protect
     ~finally:(fun () ->
       Core.Procs.stop sup;
@@ -129,8 +138,8 @@ let with_supervisor ~max_attempts ~paths plan f =
 
 (* Tick a supervisor over a one-job queue until every shard settles,
    recording the events it emits. *)
-let drive ~max_attempts ~paths plan =
-  with_supervisor ~max_attempts ~paths plan (fun sup st events ->
+let drive ~max_attempts ~paths argv =
+  with_supervisor ~max_attempts ~paths argv (fun sup st events ->
       let deadline = Unix.gettimeofday () +. 30.0 in
       let rec loop () =
         Core.Procs.tick sup;
@@ -243,6 +252,27 @@ let test_exit_0_without_footer_retried () =
       Alcotest.(check int) "two invocations" 2
         (List.length (calls (List.hd paths))))
 
+let test_grid_mismatch_named () =
+  with_dir (fun dir ->
+      let paths = shard_paths dir 1 in
+      let shards, events =
+        drive ~max_attempts:3 ~paths (plan dir ~n:1 ~actions:"othergrid done")
+      in
+      Alcotest.(check (array shard_states)) "done on the retry"
+        [| Core.Queue.Done { degraded = false } |] shards;
+      match
+        List.filter_map
+          (function
+            | Core.Queue.Requeued { reason; _ } -> Some reason | _ -> None)
+          events
+      with
+      | [ reason ] ->
+        Alcotest.(check bool) "the reason names the grid mismatch" true
+          (Test_util.contains reason "parameter grid mismatch");
+        Alcotest.(check bool) "the reason names the ledger" true
+          (Test_util.contains reason (List.hd paths))
+      | l -> Alcotest.failf "%d requeues" (List.length l))
+
 let test_complete_ledger_adopted_on_retry () =
   with_dir (fun dir ->
       let paths = shard_paths dir 1 in
@@ -258,7 +288,9 @@ let test_exhausted_attempts_quarantined () =
   with_dir (fun dir ->
       let paths = shard_paths dir 2 in
       let shards =
-        Core.Procs.run ~paths (plan dir ~n:2 ~actions:"fail fail fail")
+        Core.Procs.run ~paths
+          ~argv:(plan dir ~n:2 ~actions:"fail fail fail")
+          campaign
       in
       Alcotest.(check (array shard_states)) "the caller sees both failed"
         [| Core.Queue.Quarantined { reason = "" };
@@ -276,14 +308,68 @@ let test_first_attempt_never_adopts () =
       let paths = shard_paths dir 1 in
       let plan = plan dir ~n:1 ~actions:"fail" in
       (* A complete, validating ledger left by an earlier invocation. *)
-      write_ledger ~path:(List.hd paths) ~k:1 ~n:1 ~complete:true;
-      let shards = Core.Procs.run ~paths plan in
+      write_ledger ~path:(List.hd paths) ~k:1 ~n:1 ~complete:true ();
+      let shards = Core.Procs.run ~paths ~argv:plan campaign in
       Alcotest.(check (array shard_states)) "not adopted as done"
         [| Core.Queue.Quarantined { reason = "" } |] shards;
       Alcotest.(check bool) "every attempt spawned fresh" true
         (List.for_all
            (fun c -> not (Test_util.contains c "--resume"))
            (calls (List.hd paths))))
+
+exception Interrupted
+
+(* A signal that makes Procs.run raise (as the CLI's SIGTERM handler
+   does) must not orphan its workers. *)
+let test_interrupt_stops_workers () =
+  with_dir (fun dir ->
+      let paths = shard_paths dir 2 in
+      let pid_of path =
+        match In_channel.with_open_bin (path ^ ".pid") In_channel.input_all with
+        | s -> int_of_string_opt (String.trim s)
+        | exception Sys_error _ -> None
+      in
+      let alive pid =
+        match Unix.kill pid 0 with
+        | () -> true
+        | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+      in
+      let previous =
+        Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Interrupted))
+      in
+      let timer it =
+        ignore
+          (Unix.setitimer Unix.ITIMER_REAL
+             { Unix.it_interval = 0.0; it_value = it })
+      in
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        Fun.protect
+          ~finally:(fun () ->
+            timer 0.0;
+            Sys.set_signal Sys.sigalrm previous)
+          (fun () ->
+            timer 1.0;
+            match
+              Core.Procs.run ~paths ~argv:(plan dir ~n:2 ~actions:"pidhang")
+                campaign
+            with
+            | _ -> `Returned
+            | exception Interrupted -> `Interrupted)
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "the interrupt propagates" true
+        (outcome = `Interrupted);
+      if dt >= 5.0 then Alcotest.failf "stopping took %.1f s" dt;
+      List.iter
+        (fun path ->
+          match pid_of path with
+          | None -> Alcotest.failf "%s: the worker never started" path
+          | Some pid ->
+            Alcotest.(check bool)
+              (Printf.sprintf "worker %d stopped and reaped" pid)
+              false (alive pid))
+        paths)
 
 (* ------------------------------------------------------------------ *)
 (* Waking the supervisor                                                *)
@@ -423,12 +509,16 @@ let () =
             test_exit_3_degraded;
           Alcotest.test_case "exit 0 without footer retried" `Quick
             test_exit_0_without_footer_retried;
+          Alcotest.test_case "grid-mismatched ledger names the mismatch"
+            `Quick test_grid_mismatch_named;
           Alcotest.test_case "complete ledger adopted on retry" `Quick
             test_complete_ledger_adopted_on_retry;
           Alcotest.test_case "exhausted attempts quarantined" `Quick
             test_exhausted_attempts_quarantined;
           Alcotest.test_case "fresh run never adopts a stale ledger" `Quick
-            test_first_attempt_never_adopts ] );
+            test_first_attempt_never_adopts;
+          Alcotest.test_case "an interrupt stops the workers" `Quick
+            test_interrupt_stops_workers ] );
       ( "wake",
         [ Alcotest.test_case "a worker's exit wakes wait" `Quick
             test_worker_exit_wakes_wait;

@@ -19,21 +19,70 @@ let with_journal f =
 (* ------------------------------------------------------------------ *)
 (* Codec                                                                *)
 
+let chip_names =
+  "SC" :: List.map (fun c -> c.Gpusim.Chip.name) Gpusim.Chip.all
+
+let app_names = List.map (fun a -> a.Apps.App.name) Apps.Registry.all
+
+let env_labels =
+  List.map
+    (fun e -> e.Core.Environment.label)
+    (Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip:Gpusim.Chip.k20))
+
+(* Campaign specs of every kind, in the registries' spelling. *)
+let campaign_gen : Core.Spec.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let chip = oneofl chip_names in
+  let app = oneofl app_names in
+  let runs = int_range 1 500 in
+  let budget =
+    let* full = bool in
+    let* runs_scale =
+      oneof [ return 1.0; oneofl [ 0.1; 0.5; 2.0 ]; float_range 0.001 8.0 ]
+    in
+    return (Core.Budget.of_flags ~full ~runs_scale)
+  in
+  let chips =
+    let* first = chip in
+    let* rest = list_size (int_range 0 3) chip in
+    return (first :: rest)
+  in
+  let* kind =
+    oneof
+      [ (let* chip = chip in
+         let* env = oneofl env_labels in
+         let* app = option app in
+         let* runs = runs in
+         return (Core.Spec.Test { chip; env; app; runs }));
+        (let* chip = chip in
+         let* budget = budget in
+         return (Core.Spec.Tune { chip; budget }));
+        (let* chip = chip in
+         let* app = app in
+         let* stability_runs = runs in
+         return (Core.Spec.Harden { chip; app; stability_runs }));
+        (let* number = int_range 1 6 in
+         let* chips = chips in
+         let* budget = budget in
+         let* runs = runs in
+         return (Core.Spec.Table { number; chips; budget; runs }));
+        (let* number = int_range 3 5 in
+         let* chips = chips in
+         let* budget = budget in
+         let* runs = runs in
+         return (Core.Spec.Figure { number; chips; budget; runs })) ]
+  in
+  let* seed = int_range 0 10_000 in
+  return { Core.Spec.kind; seed }
+
 let spec_gen =
   let open QCheck.Gen in
-  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
   let* id = map (Printf.sprintf "job-%d") (int_range 1 99) in
-  let* chip = oneofl [ "K20"; "M60"; "GTX540" ] in
-  let* app = option name in
-  let* runs = int_range 1 500 in
-  let* env = oneofl [ "sys-str+"; "sys"; "base" ] in
-  let* seed = int_range 0 10_000 in
+  let* campaign = campaign_gen in
   let* workers = int_range 1 8 in
   let* priority = int_range (-5) 5 in
   let* max_attempts = int_range 1 5 in
-  return
-    { Core.Queue.id; kind = "test"; chip; app; runs; env; seed; workers;
-      priority; max_attempts }
+  return { Core.Queue.id; campaign; workers; priority; max_attempts }
 
 let event_gen : Core.Queue.event QCheck.Gen.t =
   let open QCheck.Gen in
@@ -82,10 +131,13 @@ let prop_event_round_trip =
       | Error _ -> false
       | Ok j -> Core.Queue.event_of_json j = Ok ev)
 
+let test_campaign ?app ~chip ~runs seed =
+  { Core.Spec.kind = Test { chip; env = "sys-str+"; app; runs }; seed }
+
 let sample_spec =
-  { Core.Queue.id = "job-1"; kind = "test"; chip = "K20"; app = Some "spin";
-    runs = 40; env = "sys-str+"; seed = 7; workers = 2; priority = 0;
-    max_attempts = 3 }
+  { Core.Queue.id = "job-1";
+    campaign = test_campaign ~chip:"K20" ~app:"cbe-dot" ~runs:40 7;
+    workers = 2; priority = 0; max_attempts = 3 }
 
 let sample_events : Core.Queue.event list =
   [ Core.Queue.Submitted { t = 1.0; spec = sample_spec };
@@ -490,6 +542,152 @@ let test_submission_workers_bound () =
     Alcotest.(check bool) "the refusal names the bound" true
       (Test_util.contains e (string_of_int bound))
 
+(* The names a client typed do not reach the grid: a lowercase chip and
+   an uppercase application plan the grid `gpuwmm test --chip k20 --app
+   cbe-ht` records, so the workers' ledgers validate against it. *)
+let test_submission_canonical_names () =
+  match
+    Core.Serve.parse_submission ~default_max_attempts:3
+      {|{"chip":"k20","app":"CBE-HT","runs":1,"seed":7,"workers":2}|}
+  with
+  | Error e -> Alcotest.failf "refused: %s" e
+  | Ok spec ->
+    Alcotest.(check string) "the CLI's grid"
+      (Core.Json.to_string
+         (Core.Spec.grid (test_campaign ~chip:"K20" ~app:"cbe-ht" ~runs:1 7)))
+      (Core.Json.to_string (Core.Spec.grid spec.Core.Queue.campaign))
+
+(* perfbench's fleet client posts exactly these five fields. *)
+let test_submission_fleet_body () =
+  match
+    Core.Serve.parse_submission ~default_max_attempts:3
+      {|{"chip": "K20", "env": "sys-str+", "runs": 10, "seed": 101, "workers": 2}|}
+  with
+  | Error e -> Alcotest.failf "refused: %s" e
+  | Ok spec ->
+    Alcotest.(check bool) "a test campaign of every application, defaults"
+      true
+      (spec
+      = { Core.Queue.id = ""; campaign = test_campaign ~chip:"K20" ~runs:10 101;
+          workers = 2; priority = 0; max_attempts = 3 })
+
+(* Journal lines the previous daemon wrote, byte for byte: they replay
+   to the same spec and re-encode to the same bytes. *)
+let parent_submit_lines =
+  [ {|{"ev":"submit","t":1792296757.0837941,"id":"job-1","kind":"test","chip":"K20","app":"cbe-ht","runs":1,"env":"sys-str+","seed":7,"workers":2,"priority":0,"max_attempts":3}|};
+    {|{"ev":"submit","t":1792296757.1590791,"id":"job-2","kind":"test","chip":"K20","runs":2,"env":"sys-str+","seed":9,"workers":1,"priority":3,"max_attempts":2}|}
+  ]
+
+let test_parent_journal_replays () =
+  let expected =
+    [ { Core.Queue.id = "job-1";
+        campaign = test_campaign ~chip:"K20" ~app:"cbe-ht" ~runs:1 7;
+        workers = 2; priority = 0; max_attempts = 3 };
+      { Core.Queue.id = "job-2"; campaign = test_campaign ~chip:"K20" ~runs:2 9;
+        workers = 1; priority = 3; max_attempts = 2 } ]
+  in
+  List.iter2
+    (fun line spec ->
+      match Result.bind (Core.Json.of_string line) Core.Queue.event_of_json with
+      | Ok (Core.Queue.Submitted { spec = got; t } as ev) ->
+        Alcotest.(check bool) "the same spec" true (got = spec);
+        Alcotest.(check (float 0.0)) "the same time" 1792296757.0 (Float.round t);
+        Alcotest.(check string) "the same bytes" line
+          (Core.Json.to_string (Core.Queue.event_to_json ev))
+      | Ok _ -> Alcotest.fail "not a submission"
+      | Error e -> Alcotest.failf "does not replay: %s" e)
+    parent_submit_lines expected
+
+(* ------------------------------------------------------------------ *)
+(* Campaign specs                                                       *)
+
+let through_text j =
+  Result.get_ok (Core.Json.of_string (Core.Json.to_string j))
+
+let prop_spec_argv =
+  QCheck.Test.make ~name:"Spec: of_argv (to_argv s) = s" ~count:500
+    (QCheck.make campaign_gen) (fun s ->
+      Core.Spec.of_argv (Core.Spec.to_argv s) = Ok s)
+
+let prop_spec_json =
+  QCheck.Test.make ~name:"Spec: of_json (to_json s) = s" ~count:500
+    (QCheck.make campaign_gen) (fun s ->
+      Core.Spec.of_json (through_text (Core.Spec.to_json s)) = Ok s)
+
+let prop_spec_header =
+  QCheck.Test.make ~name:"Spec: of_header of s's ledger header = s"
+    ~count:500 (QCheck.make campaign_gen) (fun s ->
+      let h =
+        Core.Runlog.make_header ~campaign:(Core.Spec.campaign s)
+          ~seed:s.Core.Spec.seed
+          ~grid:(through_text (Core.Spec.grid s))
+          ()
+      in
+      Core.Spec.of_header h = Ok s)
+
+(* A submitted test campaign in any letter case: the argv a shard
+   worker is spawned with re-parses to the grid the supervisor
+   validates its ledger against, and both spell the names as the
+   registries do, as the CLI's --chip and --app parsers store them. *)
+let prop_worker_argv_grid =
+  let gen =
+    let open QCheck.Gen in
+    let case s =
+      map
+        (fun upper ->
+          String.map
+            (fun c ->
+              if upper land (1 lsl (Char.code c mod 8)) <> 0 then
+                Char.uppercase_ascii c
+              else Char.lowercase_ascii c)
+            s)
+        (int_bound 255)
+    in
+    let* chip = oneofl chip_names >>= case in
+    let* app = option (oneofl app_names >>= case) in
+    let* runs = int_range 1 50 in
+    let* workers = int_range 1 4 in
+    let* k = int_range 1 workers in
+    return (chip, app, runs, workers, k)
+  in
+  QCheck.Test.make ~name:"Spec: a worker's argv re-parses to the plan's grid"
+    ~count:300 (QCheck.make gen) (fun (chip, app, runs, workers, k) ->
+      let body =
+        Core.Json.to_string
+          (Core.Json.Assoc
+             ([ ("chip", Core.Json.String chip); ("runs", Core.Json.Int runs);
+                ("workers", Core.Json.Int workers) ]
+             @ Option.fold ~none:[]
+                 ~some:(fun a -> [ ("app", Core.Json.String a) ])
+                 app))
+      in
+      match Core.Serve.parse_submission ~default_max_attempts:3 body with
+      | Error e -> QCheck.Test.fail_reportf "refused %s: %s" body e
+      | Ok spec ->
+        let argv =
+          Core.Procs.worker_argv ~exe:"gpuwmm" ~passthrough:[] spec ~k
+            ~path:"l.jsonl"
+        in
+        (* The campaign's own flags: between the program and "-j". *)
+        let rec campaign_flags = function
+          | "-j" :: _ | [] -> []
+          | a :: tl -> a :: campaign_flags tl
+        in
+        let registry =
+          test_campaign ~runs
+            ?app:
+              (Option.map
+                 (fun a -> (Option.get (Apps.Registry.by_name a)).Apps.App.name)
+                 app)
+            ~chip:(Option.get (Gpusim.Chip.by_name chip)).Gpusim.Chip.name
+            42
+        in
+        (match Core.Spec.of_argv (campaign_flags (List.tl argv)) with
+        | Ok worker ->
+          Core.Spec.grid worker = Core.Spec.grid spec.Core.Queue.campaign
+          && Core.Spec.grid worker = Core.Spec.grid registry
+        | Error e -> QCheck.Test.fail_reportf "%s" e))
+
 let () =
   Alcotest.run "serve-queue"
     [ ( "codec",
@@ -515,7 +713,18 @@ let () =
       );
       ( "submit",
         [ Alcotest.test_case "workers bounded by Shard.max_shards" `Quick
-            test_submission_workers_bound ] );
+            test_submission_workers_bound;
+          Alcotest.test_case "names take the registries' spelling" `Quick
+            test_submission_canonical_names;
+          Alcotest.test_case "perfbench's fleet body parses" `Quick
+            test_submission_fleet_body;
+          Alcotest.test_case "the previous daemon's journal replays" `Quick
+            test_parent_journal_replays ] );
+      ( "spec",
+        [ QCheck_alcotest.to_alcotest prop_spec_argv;
+          QCheck_alcotest.to_alcotest prop_spec_json;
+          QCheck_alcotest.to_alcotest prop_spec_header;
+          QCheck_alcotest.to_alcotest prop_worker_argv_grid ] );
       ( "replay",
         [ QCheck_alcotest.to_alcotest prop_kill_anywhere_keeps_completions ]
       ) ]

@@ -105,35 +105,30 @@ let partition_prop =
 (* ------------------------------------------------------------------ *)
 (* Shard-then-merge byte-identity                                      *)
 
-(* The same small fixed campaign as test_runlog, but with a real
-   parameter grid in the header: merge reconstructs the campaign result
-   from the grid's chips/envs/apps lists. *)
+(* A small Table 5 campaign (`gpuwmm table 5 --chips K20 --runs 2
+   --seed 11`: 8 environments x 10 applications), its header derived
+   from its spec: merge reconstructs the campaign result from the
+   spec's chips, environments and applications. *)
 let chip = Gpusim.Chip.k20
-let apps = List.filter_map Apps.Registry.by_name [ "cbe-dot"; "sdk-red" ]
+let apps = Apps.Registry.all
 
-let envs _chip =
-  let tuned = Core.Tuning.shipped ~chip in
-  [ Core.Environment.make Core.Stress.No_stress ~randomise:false;
-    Core.Environment.sys_plus ~tuned ]
+let envs chip = Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip)
 
-let runs = 12
+let runs = 2
 let cseed = 11
 
-let json_strs l = Core.Json.List (List.map (fun s -> Core.Json.String s) l)
-
-let grid =
-  Core.Json.Assoc
-    [ ("chips", json_strs [ chip.Gpusim.Chip.name ]);
-      ("envs",
-       json_strs
-         (List.map (fun e -> e.Core.Environment.label) (envs chip)));
-      ("apps", json_strs (List.map (fun a -> a.Apps.App.name) apps));
-      ("runs", Core.Json.Int runs) ]
+let spec =
+  { Core.Spec.kind =
+      Table
+        { number = 5; chips = [ chip.Gpusim.Chip.name ];
+          budget = Core.Budget.default; runs };
+    seed = cseed }
 
 let header ?shard () =
   { Core.Runlog.schema = Core.Runlog.schema_version;
-    campaign = "test"; argv = []; seed = cseed; jobs = 0; grid;
-    git = None; created = 0.0; shard; merged = None }
+    campaign = Core.Spec.campaign spec; argv = []; seed = cseed; jobs = 0;
+    grid = Core.Spec.grid spec; git = None; created = 0.0; shard;
+    merged = None }
 
 let run_campaign ?cache ?shard ~path () =
   let sink = Core.Runlog.create ~deterministic:true ~path (header ?shard:(Option.map Core.Shard.to_string shard) ()) in
@@ -197,9 +192,9 @@ let test_merge_identity () =
 (* Kill shard 2 mid-run (simulated by truncating its ledger inside the
    job stream), verify the merge refuses, resume the shard, and verify
    the re-merge is byte-identical to the serial reference.  A 2-way
-   split of the 4-job plan gives the victim two jobs (indices 1 and 3),
-   so the truncation leaves a partial — not empty — shard and the
-   resume exercises cache replay. *)
+   split of the 80-job plan gives the victim the odd indices, so the
+   truncation leaves a partial — not empty — shard and the resume
+   exercises cache replay. *)
 let test_kill_resume_merge () =
   let reference, _ = Lazy.force full in
   let paths = write_shards ~n:2 () in
